@@ -20,7 +20,12 @@ fn bench_points_to(c: &mut Criterion) {
     let server = DiagnosisServer::new(module, ServerConfig::default());
     let client = CollectionClient::new(&server, VmConfig::default());
     let col = client.collect(0, 400, 10, 0).expect("collect");
-    let executed = server.process(&col.failing[0]).expect("decode").executed;
+    let executed: std::collections::HashSet<_> = server
+        .process(&col.failing[0])
+        .expect("decode")
+        .executed
+        .into_iter()
+        .collect();
 
     let mut g = c.benchmark_group("points-to");
     g.bench_function("whole-program (mysql)", |b| {

@@ -65,14 +65,25 @@
 //!   in `speedup.warm_vs_fused_steady` for honesty: buffer reuse
 //!   contributes the larger share on this short-block workload.
 //!
+//! A second, **corpus-shaped** lane measures what the daemon actually
+//! decodes: `mysql-3596` reports (11 snapshots of 4 threads, a few
+//! hundred bytes and ~2k events per thread). It times the per-thread
+//! stream decoder alone and full snapshot processing (decode plus
+//! aggregation) over the same snapshots, one worker, warm walk table
+//! and primed pool, and reports both per decoded event under `corpus`.
+//! On this input aggregation, not the stream decoder, is the stage to
+//! watch.
+//!
 //! Usage: `decode [--threads N] [--iters N] [--rounds N] [--out PATH] [--fast]`
 
-use lazy_bench::stats;
 use lazy_bench::synth::{drive, looped_module};
+use lazy_bench::{collect_corpus, server_for, stats};
+use lazy_snorlax::processing::process_snapshot_view;
+use lazy_snorlax::ServerConfig;
 use lazy_trace::{
     decode_thread_trace, decode_thread_trace_adaptive, decode_thread_trace_compiled,
     decode_thread_trace_legacy, drain_event_pool, recycle_events, DecodedTrace, ExecIndex,
-    TraceConfig, WalkTable,
+    SnapshotView, TraceConfig, TraceSnapshot, WalkTable,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -163,6 +174,123 @@ fn assert_matches(reference: &[DecodedTrace], got: Vec<DecodedTrace>, label: &st
     }
     for g in got {
         recycle_events(g);
+    }
+}
+
+/// What the corpus-shaped lane measured.
+struct CorpusLane {
+    snapshots: usize,
+    threads_per_snapshot: f64,
+    bytes_per_thread: f64,
+    events_per_thread: f64,
+    decode_ns_per_event: f64,
+    aggregate_ns_per_event: f64,
+    retained_bytes_per_trace: f64,
+}
+
+/// Times the stream decoder alone against `process_snapshot_view` over
+/// `reports` collected `mysql-3596` reports: `reps` passes over every
+/// snapshot per measurement, min of `rounds`, with the order of the
+/// two measurements alternating per round.
+fn corpus_lane(reports: usize, reps: usize, rounds: usize) -> CorpusLane {
+    let s = lazy_workloads::scenario_by_id("mysql-3596").expect("corpus bug");
+    let server = server_for(&s);
+    let collections = collect_corpus(&server, reports, 600);
+    let reports: Vec<Vec<SnapshotView<'_>>> = collections
+        .iter()
+        .map(|c| {
+            c.failing
+                .iter()
+                .chain(&c.successful)
+                .map(TraceSnapshot::view)
+                .collect()
+        })
+        .collect();
+    let views: Vec<&SnapshotView<'_>> = reports.iter().flatten().collect();
+    let cfg = ServerConfig::default().trace;
+    let index = ExecIndex::build(&s.module);
+    let table = WalkTable::build(&s.module);
+
+    let decode_pass = || {
+        let mut events = 0usize;
+        for v in &views {
+            for t in &v.threads {
+                let d = decode_thread_trace_adaptive(
+                    &index,
+                    Some(&table),
+                    &cfg,
+                    t.bytes,
+                    v.taken_at,
+                    1,
+                )
+                .expect("corpus stream decodes");
+                events += d.events.len();
+                recycle_events(d);
+            }
+        }
+        events
+    };
+    // Like the daemon, a report's traces stay alive together and are
+    // dropped when the next report starts.
+    let process_report = |views: &[SnapshotView<'_>]| {
+        views
+            .iter()
+            .map(|v| {
+                process_snapshot_view(&s.module, &index, Some(&table), &cfg, v, 1)
+                    .expect("corpus snapshot processes")
+            })
+            .collect::<Vec<_>>()
+    };
+    let process_pass = || {
+        for r in &reports {
+            drop(process_report(r));
+        }
+    };
+    let traces: Vec<_> = reports.iter().flat_map(|r| process_report(r)).collect();
+    let events = decode_pass();
+    assert_eq!(
+        events,
+        traces.iter().map(|t| t.event_count).sum::<usize>(),
+        "processing keeps every decoded event"
+    );
+    let retained: usize = traces.iter().map(|t| t.retained_bytes()).sum();
+    drop(traces);
+
+    let time = |f: &dyn Fn()| {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let (mut decode_s, mut process_s) = (f64::INFINITY, f64::INFINITY);
+    let decode_only = || {
+        decode_pass();
+    };
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            decode_s = decode_s.min(time(&decode_only));
+            process_s = process_s.min(time(&process_pass));
+        } else {
+            process_s = process_s.min(time(&process_pass));
+            decode_s = decode_s.min(time(&decode_only));
+        }
+    }
+    let threads: usize = views.iter().map(|v| v.threads.len()).sum();
+    let bytes: usize = views
+        .iter()
+        .flat_map(|v| &v.threads)
+        .map(|t| t.bytes.len())
+        .sum();
+    let per_event = |secs: f64| secs * 1e9 / (reps * events) as f64;
+    CorpusLane {
+        snapshots: views.len(),
+        threads_per_snapshot: threads as f64 / views.len() as f64,
+        bytes_per_thread: bytes as f64 / threads as f64,
+        events_per_thread: events as f64 / threads as f64,
+        decode_ns_per_event: per_event(decode_s),
+        aggregate_ns_per_event: per_event(process_s - decode_s),
+        retained_bytes_per_trace: retained as f64 / views.len() as f64,
     }
 }
 
@@ -390,6 +518,24 @@ fn main() {
         fused_s / forced_s
     );
 
+    let corpus = if fast {
+        corpus_lane(1, 5, 3)
+    } else {
+        corpus_lane(4, 20, 5)
+    };
+    println!("--");
+    println!(
+        "corpus lane (mysql-3596): {} snapshots x {:.1} threads, {:.0} B and {:.0} events per thread",
+        corpus.snapshots,
+        corpus.threads_per_snapshot,
+        corpus.bytes_per_thread,
+        corpus.events_per_thread
+    );
+    println!(
+        "  decode {:.1} ns/event, aggregation {:.1} ns/event, {:.0} B retained per trace",
+        corpus.decode_ns_per_event, corpus.aggregate_ns_per_event, corpus.retained_bytes_per_trace
+    );
+
     // Gates evaluate on min-of-rounds (the standard anti-noise choice).
     // The one_core gate compares two runs of the *same* code path
     // (adaptive routes to fused on one core), so independent mins still
@@ -482,6 +628,11 @@ fn main() {
          \"walk_table\": {{\n      \"required\": \">={table_floor}x compiled_warm (steady \
          state) vs one-shot sequential_fused (min-of-rounds)\",\n      \"status\": \"pass\",\n      \
          \"measured\": {table_x:.3}\n    }}\n  }},\n  \
+         \"corpus\": {{\n    \"bug\": \"mysql-3596\",\n    \"snapshots\": {c_snaps},\n    \
+         \"threads_per_snapshot\": {c_threads:.2},\n    \"bytes_per_thread\": {c_bytes:.1},\n    \
+         \"events_per_thread\": {c_events:.1},\n    \"decode_ns_per_event\": {c_decode:.2},\n    \
+         \"aggregate_ns_per_event\": {c_agg:.2},\n    \
+         \"retained_bytes_per_trace\": {c_retained:.0}\n  }},\n  \
          \"telemetry_enabled\": {telemetry_enabled},\n  \"telemetry\": {telemetry_json}\n}}\n",
         psb = cfg.psb_period_bytes,
         f_vs_l = legacy_s / fused_s,
@@ -490,6 +641,13 @@ fn main() {
         s_vs_f = fused_s / adaptive_s,
         fo_vs_f = fused_s / forced_s,
         s_vs_l = legacy_s / adaptive_s,
+        c_snaps = corpus.snapshots,
+        c_threads = corpus.threads_per_snapshot,
+        c_bytes = corpus.bytes_per_thread,
+        c_events = corpus.events_per_thread,
+        c_decode = corpus.decode_ns_per_event,
+        c_agg = corpus.aggregate_ns_per_event,
+        c_retained = corpus.retained_bytes_per_trace,
         telemetry_json = telemetry.to_json().trim_end(),
     );
     std::fs::write(&out_path, json).expect("write bench output");

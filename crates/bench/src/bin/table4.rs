@@ -38,7 +38,7 @@ fn main() {
         // analysis over the whole program (averaged for stability).
         let executed: HashSet<Pc> = {
             let pt = server.process(&col.failing[0]).expect("decode");
-            let mut e = pt.executed;
+            let mut e: HashSet<Pc> = pt.executed.into_iter().collect();
             for snap in &col.successful {
                 if let Ok(t) = server.process(snap) {
                     e.extend(t.executed);

@@ -5,6 +5,7 @@
 //! the paper).
 
 use lazy_bench::{collect_for, server_for, stats};
+use lazy_trace::{decode_thread_trace, ExecIndex, TraceConfig};
 use lazy_workloads::systems::eval_scenarios;
 
 fn main() {
@@ -27,15 +28,20 @@ fn main() {
         ctrl.push(st.control_events as f64 / threads as f64);
         timing.push(st.timing_packets as f64 / threads as f64);
         shares.push(100.0 * st.timing_share());
-        // Attribution windows from the decoded trace: the median is the
+        // Attribution windows of every decoded event: the median is the
         // typical timing granularity while threads execute; the max is
         // dominated by blocking waits (a sleeping thread emits nothing,
-        // on real PT too).
-        let pt = server.process(snap).expect("decode");
-        let mut widths: Vec<u64> = pt
-            .event_time
-            .values()
-            .map(|t| t.hi.saturating_sub(t.lo))
+        // on real PT too). Threads that do not decode are skipped, as
+        // trace processing skips them.
+        let index = ExecIndex::build(&s.module);
+        let mut widths: Vec<u64> = snap
+            .threads
+            .iter()
+            .filter_map(|t| {
+                decode_thread_trace(&index, &TraceConfig::default(), &t.bytes, snap.taken_at).ok()
+            })
+            .flat_map(|d| d.events)
+            .map(|e| e.time.hi.saturating_sub(e.time.lo))
             .collect();
         widths.sort_unstable();
         let median = widths.get(widths.len() / 2).copied().unwrap_or(0) as f64;

@@ -25,8 +25,10 @@ use crate::error::DiagnosisError;
 use crate::server::{DiagnosisServer, SnapshotMemo, StageTimes};
 use crate::Diagnosis;
 use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
+use lazy_ir::Pc;
 use lazy_trace::{SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -247,8 +249,10 @@ impl<'m> DiagnosisServer<'m> {
         // Decode budget 1 per job: batch-level parallelism already
         // saturates the pool, so per-thread sharding would only add
         // stitch overhead.
-        let (failing_traces, success_traces, executed) =
+        let (failing_traces, success_traces) =
             self.prepare_with(&job.failing, &job.successful, Some(memo), 1)?;
+        let executed: HashSet<Pc> =
+            self.executed_union(failing_traces.iter().chain(&success_traces));
         let decode_micros = started.elapsed().as_micros();
 
         let pts_started = Instant::now();

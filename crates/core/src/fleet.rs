@@ -321,11 +321,12 @@ impl<'m> FleetShard<'m> {
                 });
             }
         }
-        let (failing_traces, success_traces, executed) =
+        let (failing_traces, success_traces) =
             self.server
                 .prepare_shard(failing, successful, self.cfg.resolved_decode_workers())?;
-        let mut executed: Vec<Pc> = executed.into_iter().collect();
-        executed.sort_unstable();
+        let executed: Vec<Pc> = self
+            .server
+            .executed_union(failing_traces.iter().chain(&success_traces));
         let all = || failing_traces.iter().chain(success_traces.iter());
         let reply = CollectReply {
             executed,

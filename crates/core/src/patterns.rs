@@ -497,7 +497,7 @@ pub fn deadlock_patterns(
                         hold_pts: h.pts.clone(),
                         want_pts: e.pts.clone(),
                         want_lo: e.inst.time.lo,
-                        want_hi: trace.resume_bound(tid, e.inst.seq),
+                        want_hi: e.inst.resume,
                         tid,
                     });
                 }
@@ -628,7 +628,7 @@ pub fn pattern_present(pattern: &BugPattern, trace: &ProcessedTrace) -> bool {
                 for h in trace.instances_of(e.hold_pc) {
                     for w in trace.instances_of(e.want_pc) {
                         if h.tid == w.tid && h.seq < w.seq {
-                            found = Some((w.tid, w.time.lo, trace.resume_bound(w.tid, w.seq)));
+                            found = Some((w.tid, w.time.lo, w.resume));
                         }
                     }
                 }
@@ -708,37 +708,25 @@ mod tests {
         PatternEvent { pc: Pc(pc), kind }
     }
 
+    /// An instance; `from_instances` derives its resume bound.
     fn inst(tid: u32, seq: usize, lo: u64, hi: u64) -> DynInstance {
         DynInstance {
             tid,
             seq,
             time: TimeBounds { lo, hi },
+            resume: 0,
         }
     }
 
     fn trace_with(instances: Vec<(u64, Vec<DynInstance>)>) -> ProcessedTrace {
-        let mut map = HashMap::new();
-        let mut executed = std::collections::HashSet::new();
-        let mut event_time = HashMap::new();
-        for (pc, is) in instances {
-            executed.insert(Pc(pc));
-            for i in &is {
-                event_time.insert((i.tid, i.seq), i.time);
-            }
-            map.insert(Pc(pc), is);
-        }
-        ProcessedTrace {
-            executed,
-            instances: map,
-            event_time,
-            trigger_tid: 0,
-            trigger_pc: Pc(0),
-            taken_at: 1_000_000,
-            event_count: 0,
-            resyncs: 0,
-            cyc_dropped: 0,
-            mtc_dups: 0,
-        }
+        ProcessedTrace::from_instances(
+            0,
+            Pc(0),
+            1_000_000,
+            instances
+                .into_iter()
+                .flat_map(|(pc, is)| is.into_iter().map(move |i| (Pc(pc), i))),
+        )
     }
 
     #[test]

@@ -18,7 +18,7 @@ use lazy_trace::{
     decode_thread_trace_adaptive, recycle_events, DecodeError, DecodedTrace, ExecIndex,
     SnapshotView, TimeBounds, TraceConfig, TraceSnapshot, WalkTable,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -32,6 +32,12 @@ pub struct DynInstance {
     pub seq: usize,
     /// The coarse execution-time window.
     pub time: TimeBounds,
+    /// Upper bound on when the thread left the instruction: the window
+    /// end of the next event in its thread record, or the snapshot time
+    /// if the thread executed nothing afterwards (it was blocked there
+    /// when the snapshot was taken — the signature of a deadlocked
+    /// waiter).
+    pub resume: u64,
 }
 
 impl DynInstance {
@@ -46,18 +52,20 @@ impl DynInstance {
     }
 }
 
-/// A fully processed snapshot.
+/// A fully processed snapshot, stored flat: the sorted executed set
+/// doubles as the index into one buffer of retained instances, so a
+/// trace owns three heap blocks however many instructions it executed.
 #[derive(Clone, Debug)]
 pub struct ProcessedTrace {
-    /// Executed-instruction set (step 2).
-    pub executed: HashSet<Pc>,
-    /// Dynamic instances per instruction (step 3), capped per thread to
+    /// Executed-instruction set (step 2), ascending.
+    pub executed: Vec<Pc>,
+    /// `executed[i]`'s instances are `instances[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Dynamic instances (step 3) grouped by instruction in `executed`
+    /// order. Within an instruction: thread records in snapshot order,
+    /// each record's instances in program order, capped per record to
     /// the most recent [`ProcessedTrace::MAX_INSTANCES_PER_PC`].
-    pub instances: HashMap<Pc, Vec<DynInstance>>,
-    /// Time window of every decoded event by `(thread, seq)` — used to
-    /// bound how long a thread *stayed* at an instruction (e.g. blocked
-    /// in a lock acquisition) by when its next instruction ran.
-    pub event_time: HashMap<(u32, usize), TimeBounds>,
+    instances: Vec<DynInstance>,
     /// The thread that triggered the snapshot.
     pub trigger_tid: u32,
     /// The PC that triggered the snapshot (failure PC or breakpoint).
@@ -83,9 +91,69 @@ impl ProcessedTrace {
     /// already bounds history; this bounds pattern enumeration.
     pub const MAX_INSTANCES_PER_PC: usize = 64;
 
+    /// A trace holding exactly the given instances, for tests and tools
+    /// that build traces by hand. Each `(pc, instance)` counts as one
+    /// decoded event, and a PC's instances keep the order given. The
+    /// executed set is the PCs given. Each instance's
+    /// [`DynInstance::resume`] is recomputed: the window end of the
+    /// instance given at `(tid, seq + 1)` (the last one given wins),
+    /// else `taken_at`.
+    pub fn from_instances(
+        trigger_tid: u32,
+        trigger_pc: Pc,
+        taken_at: u64,
+        instances: impl IntoIterator<Item = (Pc, DynInstance)>,
+    ) -> ProcessedTrace {
+        let mut given: Vec<(Pc, DynInstance)> = instances.into_iter().collect();
+        let times: HashMap<(u32, usize), TimeBounds> = given
+            .iter()
+            .map(|(_, i)| ((i.tid, i.seq), i.time))
+            .collect();
+        for (_, i) in &mut given {
+            i.resume = i
+                .seq
+                .checked_add(1)
+                .and_then(|next| times.get(&(i.tid, next)))
+                .map_or(taken_at, |t| t.hi);
+        }
+        // Stable: a PC's instances keep the order given.
+        given.sort_by_key(|(pc, _)| *pc);
+        let mut executed: Vec<Pc> = Vec::new();
+        let mut offsets = vec![0];
+        for (k, (pc, _)) in given.iter().enumerate() {
+            if executed.last() != Some(pc) {
+                if k > 0 {
+                    offsets.push(k);
+                }
+                executed.push(*pc);
+            }
+        }
+        if !given.is_empty() {
+            offsets.push(given.len());
+        }
+        ProcessedTrace {
+            executed,
+            offsets,
+            event_count: given.len(),
+            instances: given.into_iter().map(|(_, i)| i).collect(),
+            trigger_tid,
+            trigger_pc,
+            taken_at,
+            resyncs: 0,
+            cyc_dropped: 0,
+            mtc_dups: 0,
+        }
+    }
+
     /// The dynamic instances of `pc` (empty if never decoded).
     pub fn instances_of(&self, pc: Pc) -> &[DynInstance] {
-        self.instances.get(&pc).map(Vec::as_slice).unwrap_or(&[])
+        let Ok(i) = self.executed.binary_search(&pc) else {
+            return &[];
+        };
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => self.instances.get(lo..hi).unwrap_or(&[]),
+            _ => &[],
+        }
     }
 
     /// The last instance of `pc` executed by `tid`, if any.
@@ -108,16 +176,131 @@ impl ProcessedTrace {
         self.instances_of(pc).iter().any(|i| i.tid != tid)
     }
 
-    /// Upper bound on when the thread left the instruction at `seq`:
-    /// the window end of its next event, or the snapshot time if the
-    /// thread never executed anything afterwards (it was blocked there
-    /// when the snapshot was taken — the signature of a deadlocked
-    /// waiter).
-    pub fn resume_bound(&self, tid: u32, seq: usize) -> u64 {
-        self.event_time
-            .get(&(tid, seq + 1))
-            .map(|t| t.hi)
-            .unwrap_or(self.taken_at)
+    /// Bytes this trace keeps alive: the struct plus the capacity of its
+    /// three buffers.
+    pub fn retained_bytes(&self) -> usize {
+        std::mem::size_of::<ProcessedTrace>()
+            + self.executed.capacity() * std::mem::size_of::<Pc>()
+            + self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.instances.capacity() * std::mem::size_of::<DynInstance>()
+    }
+}
+
+/// Steps 2–3 over one snapshot's decoded thread records, hashing
+/// nothing per event. Each PC's dense slot comes from the
+/// [`ExecIndex`]; one reverse pass per record marks the last
+/// [`ProcessedTrace::MAX_INSTANCES_PER_PC`] events of each PC as kept;
+/// [`Aggregator::finish`] then lays the kept instances out flat with
+/// one counting sort by slot, reading each one's window and resume
+/// bound from its record.
+struct Aggregator<'i> {
+    index: &'i ExecIndex,
+    taken_at: u64,
+    /// Per slot: the stamp of the record that last kept an event of it
+    /// and how many that record kept.
+    seen: Vec<(u32, u32)>,
+    /// Records offered so far, rejected ones included: each record's
+    /// stamp, so 0 in `seen` means no record yet.
+    stamp: u32,
+    /// Kept events as `(slot, seq)`: records in snapshot order, each in
+    /// program order.
+    kept: Vec<(usize, usize)>,
+    /// Accepted records: thread id, decoded trace, and where the
+    /// record's run of `kept` ends.
+    records: Vec<(u32, DecodedTrace, usize)>,
+}
+
+impl<'i> Aggregator<'i> {
+    fn new(index: &'i ExecIndex, taken_at: u64) -> Aggregator<'i> {
+        Aggregator {
+            index,
+            taken_at,
+            seen: vec![(0, 0); index.slot_count()],
+            stamp: 0,
+            kept: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Folds in one thread record. An event whose PC has no slot
+    /// rejects the whole record, leaving the aggregate as it was; the
+    /// record's buffer goes back to the event pool either way.
+    fn push_record(&mut self, tid: u32, trace: DecodedTrace) -> Result<(), DecodeError> {
+        self.stamp = self.stamp.wrapping_add(1);
+        let record = self.stamp;
+        let start = self.kept.len();
+        for (seq, e) in trace.events.iter().enumerate().rev() {
+            let seen = &mut self.seen;
+            let Some((slot, cell)) = self
+                .index
+                .slot(e.pc)
+                .and_then(|slot| Some((slot, seen.get_mut(slot)?)))
+            else {
+                self.kept.truncate(start);
+                let pc = e.pc;
+                recycle_events(trace);
+                return Err(DecodeError::Desync(format!(
+                    "decoded pc {pc} lies outside the module's text"
+                )));
+            };
+            if cell.0 != record {
+                *cell = (record, 0);
+            }
+            if (cell.1 as usize) < ProcessedTrace::MAX_INSTANCES_PER_PC {
+                cell.1 += 1;
+                self.kept.push((slot, seq));
+            }
+        }
+        self.kept[start..].reverse();
+        self.records.push((tid, trace, self.kept.len()));
+        Ok(())
+    }
+
+    /// The executed set, the offsets and the instance buffer of a
+    /// [`ProcessedTrace`]. The counting sort is stable, so each PC's
+    /// instances keep record order, then program order.
+    fn finish(self) -> (Vec<Pc>, Vec<usize>, Vec<DynInstance>) {
+        let mut cursor = vec![0usize; self.seen.len()];
+        for &(slot, _) in &self.kept {
+            cursor[slot] += 1;
+        }
+        let mut executed = Vec::new();
+        let mut offsets = vec![0];
+        let mut total = 0;
+        for (slot, n) in cursor.iter_mut().enumerate() {
+            if *n > 0 {
+                executed.push(self.index.slot_pc(slot));
+                let count = *n;
+                *n = total;
+                total += count;
+                offsets.push(total);
+            }
+        }
+        let blank = DynInstance {
+            tid: 0,
+            seq: 0,
+            time: TimeBounds { lo: 0, hi: 0 },
+            resume: 0,
+        };
+        let mut instances = vec![blank; self.kept.len()];
+        let mut start = 0;
+        for (tid, trace, end) in self.records {
+            let events = &trace.events;
+            for &(slot, seq) in &self.kept[start..end] {
+                instances[cursor[slot]] = DynInstance {
+                    tid,
+                    seq,
+                    time: events[seq].time,
+                    resume: events.get(seq + 1).map_or(self.taken_at, |e| e.time.hi),
+                };
+                cursor[slot] += 1;
+            }
+            start = end;
+            // This record is fully aggregated; hand the buffer back so
+            // the next decode reuses its warm pages.
+            recycle_events(trace);
+        }
+        (executed, offsets, instances)
     }
 }
 
@@ -171,6 +354,9 @@ pub fn process_snapshot_par(
 /// zero-copy ingest path. Thread trace bytes are decoded straight out
 /// of whatever buffer the view borrows from (a connection's read
 /// buffer, a wire payload); nothing is copied on the way in.
+///
+/// A thread record holding a PC the [`ExecIndex`] cannot place is
+/// skipped like one that fails to decode.
 ///
 /// # Errors
 ///
@@ -229,9 +415,8 @@ pub fn process_snapshot_view(
             snapshot.threads.iter().map(|t| decode(t.bytes)).collect()
         };
 
-    let mut executed = HashSet::new();
-    let mut instances: HashMap<Pc, Vec<DynInstance>> = HashMap::new();
-    let mut event_time: HashMap<(u32, usize), TimeBounds> = HashMap::new();
+    let aggregate_span = lazy_obs::span!("process.aggregate");
+    let mut aggregator = Aggregator::new(index, snapshot.taken_at);
     let mut event_count = 0usize;
     let mut resyncs = 0u32;
     let mut cyc_dropped = 0u64;
@@ -253,35 +438,22 @@ pub fn process_snapshot_view(
             }
             Err(e) => return Err(e),
         };
+        let (events, thread_resyncs, thread_cyc, thread_mtc) = (
+            trace.events.len(),
+            trace.resyncs,
+            trace.cyc_dropped,
+            trace.mtc_dups,
+        );
+        if let Err(e) = aggregator.push_record(thread.tid, trace) {
+            lazy_obs::counter!("decode.threads_skipped_total", 1u64);
+            last_err = e;
+            continue;
+        }
         decoded_any = true;
-        resyncs += trace.resyncs;
-        cyc_dropped += trace.cyc_dropped;
-        mtc_dups += trace.mtc_dups;
-        event_count += trace.events.len();
-        // Count per (pc, tid) so the cap keeps the most recent.
-        let mut per_pc_counts: HashMap<Pc, usize> = HashMap::new();
-        for e in &trace.events {
-            executed.insert(e.pc);
-            *per_pc_counts.entry(e.pc).or_default() += 1;
-        }
-        let mut seen: HashMap<Pc, usize> = HashMap::new();
-        for (seq, e) in trace.events.iter().enumerate() {
-            event_time.insert((thread.tid, seq), e.time);
-            let total = per_pc_counts[&e.pc];
-            let n = seen.entry(e.pc).or_default();
-            *n += 1;
-            // Keep only the last MAX_INSTANCES_PER_PC instances.
-            if total - *n < ProcessedTrace::MAX_INSTANCES_PER_PC {
-                instances.entry(e.pc).or_default().push(DynInstance {
-                    tid: thread.tid,
-                    seq,
-                    time: e.time,
-                });
-            }
-        }
-        // This thread's events are fully aggregated; hand the buffer
-        // back so the next decode reuses its warm pages.
-        recycle_events(trace);
+        resyncs += thread_resyncs;
+        cyc_dropped += thread_cyc;
+        mtc_dups += thread_mtc;
+        event_count += events;
     }
     if !decoded_any {
         lazy_obs::counter!("decode.snapshots_rejected_total", 1u64);
@@ -290,6 +462,8 @@ pub fn process_snapshot_view(
             source: last_err,
         });
     }
+    let (executed, offsets, instances) = aggregator.finish();
+    drop(aggregate_span);
     // Counted here — once per *distinct* processed snapshot — so batch
     // memo hits do not inflate the totals (telemetry reconciles with the
     // per-snapshot `event_count` sums exactly when dedup hits are zero).
@@ -299,8 +473,8 @@ pub fn process_snapshot_view(
     lazy_obs::histogram!("decode.snapshot_events", event_count);
     Ok(ProcessedTrace {
         executed,
+        offsets,
         instances,
-        event_time,
         trigger_tid: snapshot.trigger_tid,
         trigger_pc: Pc(snapshot.trigger_pc),
         taken_at: snapshot.taken_at,
@@ -441,11 +615,13 @@ mod tests {
             tid: 1,
             seq: 3,
             time: TimeBounds { lo: 0, hi: 100 },
+            resume: 100,
         };
         let b = DynInstance {
             tid: 1,
             seq: 5,
             time: TimeBounds { lo: 0, hi: 100 },
+            resume: 100,
         };
         assert!(
             a.definitely_before(&b),
@@ -513,15 +689,305 @@ mod cap_tests {
         let instances = pt.instances_of(hot_store);
         assert_eq!(instances.len(), ProcessedTrace::MAX_INSTANCES_PER_PC);
         // They are the LAST instances: strictly increasing seq, ending
-        // near the trace end.
-        let max_seq = pt
-            .event_time
-            .keys()
-            .filter(|(tid, _)| *tid == 0)
-            .map(|(_, s)| *s)
-            .max()
-            .unwrap();
+        // near the trace end (one thread, so its last seq is the event
+        // count less one).
+        assert!(instances.windows(2).all(|w| w[0].seq < w[1].seq));
+        let max_seq = pt.event_count - 1;
         assert!(instances.last().unwrap().seq + 16 > max_seq - 8);
         assert!(pt.executed.contains(&hot_store));
+    }
+}
+
+/// The per-event-hash aggregation the dense pass replaced, kept as the
+/// differential reference: an executed `HashSet`, per-thread `HashMap`
+/// counters, and a `(tid, seq)`-keyed time map read by resume-bound
+/// lookups.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use lazy_trace::DecodedEvent;
+    use std::collections::HashSet;
+
+    pub(super) struct Reference {
+        pub(super) executed: HashSet<Pc>,
+        /// Instances as `(tid, seq, time)`; the reference derives resume
+        /// bounds by lookup instead of storing them.
+        pub(super) instances: HashMap<Pc, Vec<(u32, usize, TimeBounds)>>,
+        event_time: HashMap<(u32, usize), TimeBounds>,
+        taken_at: u64,
+    }
+
+    impl Reference {
+        pub(super) fn resume_bound(&self, tid: u32, seq: usize) -> u64 {
+            self.event_time
+                .get(&(tid, seq + 1))
+                .map(|t| t.hi)
+                .unwrap_or(self.taken_at)
+        }
+    }
+
+    pub(super) fn aggregate(records: &[(u32, Vec<DecodedEvent>)], taken_at: u64) -> Reference {
+        let mut executed = HashSet::new();
+        let mut instances: HashMap<Pc, Vec<(u32, usize, TimeBounds)>> = HashMap::new();
+        let mut event_time: HashMap<(u32, usize), TimeBounds> = HashMap::new();
+        for (tid, events) in records {
+            let mut per_pc_counts: HashMap<Pc, usize> = HashMap::new();
+            for e in events {
+                executed.insert(e.pc);
+                *per_pc_counts.entry(e.pc).or_default() += 1;
+            }
+            let mut seen: HashMap<Pc, usize> = HashMap::new();
+            for (seq, e) in events.iter().enumerate() {
+                event_time.insert((*tid, seq), e.time);
+                let total = per_pc_counts[&e.pc];
+                let n = seen.entry(e.pc).or_default();
+                *n += 1;
+                if total - *n < ProcessedTrace::MAX_INSTANCES_PER_PC {
+                    instances.entry(e.pc).or_default().push((*tid, seq, e.time));
+                }
+            }
+        }
+        Reference {
+            executed,
+            instances,
+            event_time,
+            taken_at,
+        }
+    }
+}
+
+#[cfg(test)]
+mod aggregate_tests {
+    use super::*;
+    use lazy_ir::{ModuleBuilder, Operand, Type};
+    use lazy_trace::DecodedEvent;
+    use proptest::prelude::*;
+
+    /// A straight-line module with `n` instructions.
+    fn module_with(n: usize) -> Module {
+        let mut mb = ModuleBuilder::new("flat");
+        let mut f = mb.function("main", vec![], Type::Void);
+        let e = f.entry();
+        f.switch_to(e);
+        for k in 0..n {
+            let _ = f.copy(Operand::const_int(k as i64));
+        }
+        f.halt();
+        f.finish();
+        mb.finish().unwrap()
+    }
+
+    fn pcs_of(m: &Module) -> Vec<Pc> {
+        m.all_insts().map(|(i, _)| i.pc).collect()
+    }
+
+    fn trace_of(
+        index: &ExecIndex,
+        records: &[(u32, Vec<DecodedEvent>)],
+        taken_at: u64,
+    ) -> Result<ProcessedTrace, DecodeError> {
+        let mut agg = Aggregator::new(index, taken_at);
+        for (tid, events) in records {
+            let trace = DecodedTrace {
+                events: events.clone(),
+                ..DecodedTrace::default()
+            };
+            agg.push_record(*tid, trace)?;
+        }
+        let (executed, offsets, instances) = agg.finish();
+        Ok(ProcessedTrace {
+            executed,
+            offsets,
+            instances,
+            trigger_tid: 0,
+            trigger_pc: Pc(0),
+            taken_at,
+            event_count: records.iter().map(|(_, e)| e.len()).sum(),
+            resyncs: 0,
+            cyc_dropped: 0,
+            mtc_dups: 0,
+        })
+    }
+
+    /// Per record: events as (pc choice, window start, window width).
+    /// Three in four events draw from three hot PCs, so long records
+    /// push a PC past the 64-instance cap; records may be empty.
+    fn arb_records() -> impl Strategy<Value = Vec<Vec<(usize, u64, u64)>>> {
+        let event = (0usize..4, 0usize..24, 0u64..10_000, 0u64..500)
+            .prop_map(|(hot, pc, lo, w)| (if hot < 3 { hot } else { pc }, lo, w));
+        prop::collection::vec(prop::collection::vec(event, 0..300), 0..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dense_pass_matches_per_event_hash_reference(
+            raw in arb_records(),
+            taken_at in 0u64..20_000,
+        ) {
+            let m = module_with(24);
+            let index = ExecIndex::build(&m);
+            let pcs = pcs_of(&m);
+            // Distinct thread ids, not in record order.
+            let records: Vec<(u32, Vec<DecodedEvent>)> = raw
+                .iter()
+                .enumerate()
+                .map(|(r, events)| {
+                    let tid = (r as u32 * 7 + 3) % 11;
+                    let events = events
+                        .iter()
+                        .map(|&(pc, lo, w)| DecodedEvent {
+                            pc: pcs[pc],
+                            time: TimeBounds { lo, hi: lo + w },
+                        })
+                        .collect();
+                    (tid, events)
+                })
+                .collect();
+            let reference = reference::aggregate(&records, taken_at);
+            let got = trace_of(&index, &records, taken_at).unwrap();
+
+            let mut want_executed: Vec<Pc> = reference.executed.iter().copied().collect();
+            want_executed.sort_unstable();
+            prop_assert_eq!(&got.executed, &want_executed);
+            for &pc in &pcs {
+                let want = reference.instances.get(&pc).cloned().unwrap_or_default();
+                let have: Vec<(u32, usize, TimeBounds)> = got
+                    .instances_of(pc)
+                    .iter()
+                    .map(|i| (i.tid, i.seq, i.time))
+                    .collect();
+                prop_assert_eq!(&have, &want, "instances of {}", pc);
+                for i in got.instances_of(pc) {
+                    prop_assert_eq!(
+                        i.resume,
+                        reference.resume_bound(i.tid, i.seq),
+                        "resume of {} at ({}, {})", pc, i.tid, i.seq
+                    );
+                }
+            }
+        }
+    }
+
+    fn ev(pc: Pc, lo: u64, hi: u64) -> DecodedEvent {
+        DecodedEvent {
+            pc,
+            time: TimeBounds { lo, hi },
+        }
+    }
+
+    /// The wire format lets a snapshot repeat a thread id. Each record
+    /// resolves resume bounds within itself and is capped on its own;
+    /// the `(tid, seq)`-keyed reference let the later record's times
+    /// overwrite the earlier one's, so this is pinned here rather than
+    /// against it.
+    #[test]
+    fn repeated_thread_id_records_resolve_resume_bounds_per_record() {
+        let m = module_with(4);
+        let index = ExecIndex::build(&m);
+        let pcs = pcs_of(&m);
+        let first = vec![ev(pcs[0], 10, 20), ev(pcs[1], 30, 40)];
+        let second = vec![
+            ev(pcs[2], 100, 200),
+            ev(pcs[1], 300, 400),
+            ev(pcs[3], 500, 600),
+        ];
+        let t = trace_of(&index, &[(7, first), (7, second)], 9_000).unwrap();
+        let a = t.instances_of(pcs[0]);
+        assert_eq!(a.len(), 1);
+        assert_eq!(a[0].resume, 40, "next event of the same record");
+        let b = t.instances_of(pcs[1]);
+        assert_eq!(
+            b.iter().map(|i| (i.seq, i.resume)).collect::<Vec<_>>(),
+            vec![(1, 9_000), (1, 600)],
+            "record order; the first record's last event resumes at the snapshot time"
+        );
+        let reference = reference::aggregate(
+            &[
+                (7, vec![ev(pcs[0], 10, 20), ev(pcs[1], 30, 40)]),
+                (
+                    7,
+                    vec![
+                        ev(pcs[2], 100, 200),
+                        ev(pcs[1], 300, 400),
+                        ev(pcs[3], 500, 600),
+                    ],
+                ),
+            ],
+            9_000,
+        );
+        assert_eq!(
+            reference.resume_bound(7, 0),
+            400,
+            "the reference mixed in the second record's time"
+        );
+    }
+
+    #[test]
+    fn unplaceable_pc_rejects_its_record_only() {
+        let m = module_with(4);
+        let index = ExecIndex::build(&m);
+        let pcs = pcs_of(&m);
+        let record = |events: Vec<DecodedEvent>| DecodedTrace {
+            events,
+            ..DecodedTrace::default()
+        };
+        let mut agg = Aggregator::new(&index, 50);
+        agg.push_record(1, record(vec![ev(pcs[0], 1, 2)])).unwrap();
+        let stray = Pc(pcs[0].0 + 1);
+        let err = agg
+            .push_record(2, record(vec![ev(stray, 3, 4), ev(pcs[1], 5, 6)]))
+            .unwrap_err();
+        assert!(matches!(err, DecodeError::Desync(_)), "{err:?}");
+        // The next record counts its instances anew, though the
+        // rejected one touched the same slot before failing.
+        let hot: Vec<DecodedEvent> = (0..70).map(|k| ev(pcs[1], k, k + 1)).collect();
+        agg.push_record(3, record(hot)).unwrap();
+        let (executed, offsets, instances) = agg.finish();
+        assert_eq!(executed, vec![pcs[0], pcs[1]]);
+        assert_eq!(
+            offsets,
+            vec![0, 1, 1 + ProcessedTrace::MAX_INSTANCES_PER_PC]
+        );
+        assert_eq!(instances[0].tid, 1);
+        assert!(instances[1..].iter().all(|i| i.tid == 3));
+        assert_eq!(instances[1].seq, 70 - ProcessedTrace::MAX_INSTANCES_PER_PC);
+    }
+
+    #[test]
+    fn from_instances_derives_resume_bounds_like_event_time_lookups() {
+        let inst = |tid, seq, lo, hi| DynInstance {
+            tid,
+            seq,
+            time: TimeBounds { lo, hi },
+            resume: 0,
+        };
+        let t = ProcessedTrace::from_instances(
+            1,
+            Pc(8),
+            777,
+            [
+                (Pc(8), inst(1, 0, 0, 5)),
+                (Pc(4), inst(1, 1, 6, 9)),
+                (Pc(8), inst(2, 3, 1, 2)),
+            ],
+        );
+        assert_eq!(t.executed, vec![Pc(4), Pc(8)]);
+        assert_eq!(t.event_count, 3);
+        let at8: Vec<(u32, u64)> = t
+            .instances_of(Pc(8))
+            .iter()
+            .map(|i| (i.tid, i.resume))
+            .collect();
+        assert_eq!(
+            at8,
+            vec![(1, 9), (2, 777)],
+            "given order, resume from (tid, seq + 1)"
+        );
+        assert_eq!(t.instances_of(Pc(4))[0].resume, 777);
+        assert!(t.instances_of(Pc(12)).is_empty());
+        let empty = ProcessedTrace::from_instances(0, Pc(0), 0, []);
+        assert!(empty.executed.is_empty() && empty.instances_of(Pc(0)).is_empty());
     }
 }

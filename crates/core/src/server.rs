@@ -371,12 +371,14 @@ impl<'m> DiagnosisServer<'m> {
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("diagnose.job");
         let started = Instant::now();
-        let (failing_traces, success_traces, executed) = self.prepare_with(
+        let (failing_traces, success_traces) = self.prepare_with(
             failing,
             successful,
             None,
             self.cfg.resolved_decode_workers(),
         )?;
+        let executed: HashSet<Pc> =
+            self.executed_union(failing_traces.iter().chain(&success_traces));
         let decode_micros = started.elapsed().as_micros();
 
         // Step 4: hybrid (scope-restricted) points-to analysis.
@@ -532,13 +534,36 @@ impl<'m> DiagnosisServer<'m> {
         // production server that cannot hold up a diagnosis for one
         // corrupt success trace.
         let success_traces: Vec<Arc<ProcessedTrace>> = results.filter_map(Result::ok).collect();
+        Ok((failing_traces, success_traces))
+    }
 
-        // Step 2: executed set (union over received traces).
-        let mut executed: HashSet<Pc> = HashSet::new();
-        for t in failing_traces.iter().chain(success_traces.iter()) {
-            executed.extend(t.executed.iter().copied());
+    /// Step 2's executed set: the union of `traces`' executed
+    /// instructions, yielded in ascending PC order into any collection.
+    /// It is built on a bitmap over the module's dense PC slots, so a
+    /// PC costs one bit per trace and one insert into the result, never
+    /// a hash per trace. The traces come from [`process_snapshot_view`]
+    /// against this server's index, which places every executed PC.
+    pub(crate) fn executed_union<'t, C: FromIterator<Pc>>(
+        &self,
+        traces: impl IntoIterator<Item = &'t Arc<ProcessedTrace>>,
+    ) -> C {
+        let mut bits = vec![0u64; self.index.slot_count().div_ceil(64)];
+        for t in traces {
+            for slot in t.executed.iter().filter_map(|&pc| self.index.slot(pc)) {
+                bits[slot / 64] |= 1 << (slot % 64);
+            }
         }
-        Ok((failing_traces, success_traces, executed))
+        let placed: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut pcs = Vec::with_capacity(placed);
+        for (w, &word) in bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                pcs.push(self.index.slot_pc(w * 64 + rest.trailing_zeros() as usize));
+                rest &= rest - 1;
+            }
+        }
+        // An exact-size source, so a set collects without rehashing.
+        pcs.into_iter().collect()
     }
 
     /// Steps 4–7 given an already-computed points-to result. The
@@ -671,15 +696,11 @@ pub(crate) fn ordered_events_for(
     keyed.into_iter().map(|(_, _, pc)| pc).collect()
 }
 
-/// Decoded failing traces, decoded successful traces, and the executed
-/// instruction union — the output of [`DiagnosisServer::prepare`].
-/// Traces are `Arc`-shared so batch jobs can reuse identical
-/// success-corpus snapshots without reprocessing (or copying) them.
-pub(crate) type Prepared = (
-    Vec<Arc<ProcessedTrace>>,
-    Vec<Arc<ProcessedTrace>>,
-    HashSet<Pc>,
-);
+/// Decoded failing traces and decoded successful traces — the output
+/// of [`DiagnosisServer::prepare_with`]. Traces are `Arc`-shared so
+/// batch jobs can reuse identical success-corpus snapshots without
+/// reprocessing (or copying) them.
+pub(crate) type Prepared = (Vec<Arc<ProcessedTrace>>, Vec<Arc<ProcessedTrace>>);
 
 /// One snapshot's decode+processing outcome, `Arc`-shared for reuse.
 type Processed = Result<Arc<ProcessedTrace>, DiagnosisError>;

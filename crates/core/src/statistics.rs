@@ -303,38 +303,26 @@ mod tests {
     use crate::processing::DynInstance;
     use lazy_ir::Pc;
     use lazy_trace::TimeBounds;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     fn trace_with(instances: Vec<(u64, Vec<DynInstance>)>) -> ProcessedTrace {
-        let mut map = HashMap::new();
-        let mut executed = HashSet::new();
-        let mut event_time = HashMap::new();
-        for (pc, is) in instances {
-            executed.insert(Pc(pc));
-            for i in &is {
-                event_time.insert((i.tid, i.seq), i.time);
-            }
-            map.insert(Pc(pc), is);
-        }
-        ProcessedTrace {
-            executed,
-            instances: map,
-            event_time,
-            trigger_tid: 0,
-            trigger_pc: Pc(0),
-            taken_at: 1_000_000,
-            event_count: 0,
-            resyncs: 0,
-            cyc_dropped: 0,
-            mtc_dups: 0,
-        }
+        ProcessedTrace::from_instances(
+            0,
+            Pc(0),
+            1_000_000,
+            instances
+                .into_iter()
+                .flat_map(|(pc, is)| is.into_iter().map(move |i| (Pc(pc), i))),
+        )
     }
 
+    /// An instance; `from_instances` derives its resume bound.
     fn inst(tid: u32, seq: usize, lo: u64, hi: u64) -> DynInstance {
         DynInstance {
             tid,
             seq,
             time: TimeBounds { lo, hi },
+            resume: 0,
         }
     }
 

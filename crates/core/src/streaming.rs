@@ -395,15 +395,15 @@ impl StreamState {
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
         let workers = server.config().resolved_decode_workers();
-        let (mut failing, _, _) =
-            match server.prepare_shard(std::slice::from_ref(view), &[], workers) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.reports_rejected += 1;
-                    lazy_obs::counter!("stream.rejected_total", 1u64);
-                    return Err(e);
-                }
-            };
+        let (mut failing, _) = match server.prepare_shard(std::slice::from_ref(view), &[], workers)
+        {
+            Ok(p) => p,
+            Err(e) => {
+                self.reports_rejected += 1;
+                lazy_obs::counter!("stream.rejected_total", 1u64);
+                return Err(e);
+            }
+        };
         if self.failure.is_none() {
             self.failure = Some(failure.clone());
         }
@@ -424,7 +424,7 @@ impl StreamState {
         lazy_obs::counter!("stream.reports_total", 1u64);
         let workers = server.config().resolved_decode_workers();
         let retained = match server.prepare_shard(&[], std::slice::from_ref(view), workers) {
-            Ok((_, mut successes, _)) => successes.pop(),
+            Ok((_, mut successes)) => successes.pop(),
             Err(_) => None,
         };
         match retained {
@@ -501,10 +501,7 @@ impl StreamState {
         }
         let started = Instant::now();
         let successes = self.capped_successes(server.config());
-        let mut executed: HashSet<Pc> = HashSet::new();
-        for t in self.failing.iter().chain(successes.iter()) {
-            executed.extend(t.executed.iter().copied());
-        }
+        let executed: HashSet<Pc> = server.executed_union(self.failing.iter().chain(&successes));
         let pts_started = Instant::now();
         let pts = PointsTo::analyze_scoped(server.module(), &executed);
         let points_to_micros = pts_started.elapsed().as_micros();
@@ -581,10 +578,7 @@ fn score_stream(
 ) -> Vec<PatternScore> {
     let module = server.module();
     let cfg = server.config();
-    let mut executed: HashSet<Pc> = HashSet::new();
-    for t in failing.iter().chain(successes.iter()) {
-        executed.extend(t.executed.iter().copied());
-    }
+    let executed: HashSet<Pc> = server.executed_union(failing.iter().chain(successes));
     let is_deadlock = matches!(
         failure.kind,
         FailureKind::Deadlock { .. } | FailureKind::Hang

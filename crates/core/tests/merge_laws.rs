@@ -12,7 +12,7 @@ use lazy_snorlax::processing::{DynInstance, ProcessedTrace};
 use lazy_snorlax::statistics::{PatternCounts, PatternStats};
 use lazy_trace::TimeBounds;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn event(pc: u64, write: bool) -> PatternEvent {
     PatternEvent {
@@ -97,31 +97,24 @@ fn merged(a: &PatternStats, b: &PatternStats) -> PatternStats {
 /// Same trace constructor as `proptests.rs`: a bag of dynamic
 /// instances keyed by (pc, tid, seq, t_lo, t_span).
 fn trace_from(instances: Vec<(u64, u32, usize, u64, u64)>) -> ProcessedTrace {
-    let mut map: HashMap<Pc, Vec<DynInstance>> = HashMap::new();
-    let mut executed = HashSet::new();
-    let mut event_time = HashMap::new();
-    for (pc, tid, seq, lo, hi) in instances {
-        let d = DynInstance {
-            tid,
-            seq,
-            time: TimeBounds { lo, hi: lo + hi },
-        };
-        executed.insert(Pc(pc));
-        event_time.insert((tid, seq), d.time);
-        map.entry(Pc(pc)).or_default().push(d);
-    }
-    ProcessedTrace {
-        executed,
-        instances: map,
-        event_time,
-        trigger_tid: 0,
-        trigger_pc: Pc(0),
-        taken_at: u64::MAX,
-        event_count: 0,
-        resyncs: 0,
-        cyc_dropped: 0,
-        mtc_dups: 0,
-    }
+    ProcessedTrace::from_instances(
+        0,
+        Pc(0),
+        u64::MAX,
+        instances.into_iter().map(|(pc, tid, seq, lo, hi)| {
+            let time = TimeBounds { lo, hi: lo + hi };
+            let resume = 0;
+            (
+                Pc(pc),
+                DynInstance {
+                    tid,
+                    seq,
+                    time,
+                    resume,
+                },
+            )
+        }),
+    )
 }
 
 fn arb_trace() -> impl Strategy<Value = ProcessedTrace> {

@@ -8,7 +8,7 @@ use lazy_snorlax::statistics::score_patterns;
 use lazy_snorlax::{kendall_tau_distance, ordering_accuracy};
 use lazy_trace::TimeBounds;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn arb_pc_list() -> impl Strategy<Value = Vec<Pc>> {
     prop::collection::hash_set(0u64..24, 0..10)
@@ -16,31 +16,24 @@ fn arb_pc_list() -> impl Strategy<Value = Vec<Pc>> {
 }
 
 fn trace_from(instances: Vec<(u64, u32, usize, u64, u64)>) -> ProcessedTrace {
-    let mut map: HashMap<Pc, Vec<DynInstance>> = HashMap::new();
-    let mut executed = HashSet::new();
-    let mut event_time = HashMap::new();
-    for (pc, tid, seq, lo, hi) in instances {
-        let d = DynInstance {
-            tid,
-            seq,
-            time: TimeBounds { lo, hi: lo + hi },
-        };
-        executed.insert(Pc(pc));
-        event_time.insert((tid, seq), d.time);
-        map.entry(Pc(pc)).or_default().push(d);
-    }
-    ProcessedTrace {
-        executed,
-        instances: map,
-        event_time,
-        trigger_tid: 0,
-        trigger_pc: Pc(0),
-        taken_at: u64::MAX,
-        event_count: 0,
-        resyncs: 0,
-        cyc_dropped: 0,
-        mtc_dups: 0,
-    }
+    ProcessedTrace::from_instances(
+        0,
+        Pc(0),
+        u64::MAX,
+        instances.into_iter().map(|(pc, tid, seq, lo, hi)| {
+            let time = TimeBounds { lo, hi: lo + hi };
+            let resume = 0;
+            (
+                Pc(pc),
+                DynInstance {
+                    tid,
+                    seq,
+                    time,
+                    resume,
+                },
+            )
+        }),
+    )
 }
 
 fn arb_trace() -> impl Strategy<Value = ProcessedTrace> {

@@ -21,7 +21,7 @@ use lazy_snorlax::statistics::PatternStats;
 use lazy_snorlax::{Reservoir, SequentialRule};
 use lazy_trace::TimeBounds;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn event(pc: u64, write: bool) -> PatternEvent {
     PatternEvent {
@@ -68,31 +68,24 @@ fn arb_pattern() -> impl Strategy<Value = BugPattern> {
 }
 
 fn trace_from(instances: Vec<(u64, u32, usize, u64, u64)>) -> ProcessedTrace {
-    let mut map: HashMap<Pc, Vec<DynInstance>> = HashMap::new();
-    let mut executed = HashSet::new();
-    let mut event_time = HashMap::new();
-    for (pc, tid, seq, lo, hi) in instances {
-        let d = DynInstance {
-            tid,
-            seq,
-            time: TimeBounds { lo, hi: lo + hi },
-        };
-        executed.insert(Pc(pc));
-        event_time.insert((tid, seq), d.time);
-        map.entry(Pc(pc)).or_default().push(d);
-    }
-    ProcessedTrace {
-        executed,
-        instances: map,
-        event_time,
-        trigger_tid: 0,
-        trigger_pc: Pc(0),
-        taken_at: u64::MAX,
-        event_count: 0,
-        resyncs: 0,
-        cyc_dropped: 0,
-        mtc_dups: 0,
-    }
+    ProcessedTrace::from_instances(
+        0,
+        Pc(0),
+        u64::MAX,
+        instances.into_iter().map(|(pc, tid, seq, lo, hi)| {
+            let time = TimeBounds { lo, hi: lo + hi };
+            let resume = 0;
+            (
+                Pc(pc),
+                DynInstance {
+                    tid,
+                    seq,
+                    time,
+                    resume,
+                },
+            )
+        }),
+    )
 }
 
 fn arb_trace() -> impl Strategy<Value = ProcessedTrace> {

@@ -30,6 +30,17 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
     (i < BUCKETS - 1).then(|| 1u64 << i)
 }
 
+/// The inclusive nanosecond range a span duration must lie in to land
+/// in microsecond bucket `i` (spans bucket `dur_ns / 1000`).
+fn span_bucket_ns(i: usize) -> (u64, u64) {
+    let lo = match i.checked_sub(1).and_then(bucket_bound) {
+        Some(below) => (below + 1).saturating_mul(1000),
+        None => 0,
+    };
+    let hi = bucket_bound(i).map_or(u64::MAX, |b| b.saturating_mul(1000).saturating_add(999));
+    (lo, hi)
+}
+
 /// One monotonic counter's value at snapshot time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterSnapshot {
@@ -113,9 +124,15 @@ impl PipelineTelemetry {
     /// The delta from `baseline` to `self`: counter values, histogram
     /// buckets, and span counts/totals are subtracted name-wise
     /// (saturating, so a fresh name simply keeps its value). Span
-    /// `min_ns`/`max_ns` are *not* differentiable and keep the current
-    /// snapshot's values. Entries that did not change still appear,
-    /// with zero counts — coverage is visible even for idle stages.
+    /// `min_ns`/`max_ns` are not differentiable: a window with no
+    /// completed span reports 0 for both, and otherwise each is the
+    /// absolute value clamped to the nanosecond range of the window's
+    /// lowest (for `min_ns`) or highest (for `max_ns`) non-empty
+    /// duration bucket, then kept consistent with the window's count
+    /// and total (`min <= mean <= max <= total`; a one-span window
+    /// reports its total for both). Entries that did not change still
+    /// appear, with zero counts — coverage is visible even for idle
+    /// stages.
     #[must_use]
     pub fn since(&self, baseline: &PipelineTelemetry) -> PipelineTelemetry {
         let base_counter = |name: &str| baseline.counter(name);
@@ -154,22 +171,43 @@ impl PipelineTelemetry {
             .iter()
             .map(|s| {
                 let base = baseline.span(&s.name);
+                let buckets: Vec<u64> = s
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| {
+                        b.saturating_sub(
+                            base.map_or(0, |bs| bs.buckets.get(i).copied().unwrap_or(0)),
+                        )
+                    })
+                    .collect();
+                let count = s.count.saturating_sub(base.map_or(0, |b| b.count));
+                let total_ns = s.total_ns.saturating_sub(base.map_or(0, |b| b.total_ns));
+                let lowest = buckets.iter().position(|&b| b > 0);
+                let highest = buckets.iter().rposition(|&b| b > 0);
+                let (min_ns, max_ns) = match (lowest, highest) {
+                    (Some(lo), Some(hi)) if count > 0 => {
+                        let (lo_min, lo_max) = span_bucket_ns(lo);
+                        let (hi_min, hi_max) = span_bucket_ns(hi);
+                        // Then keep min <= mean <= max <= total, and the
+                        // minimum no lower than what the other count - 1
+                        // spans, at most `max` each, leave of the total.
+                        let mean = total_ns / count;
+                        let max = s.max_ns.clamp(hi_min, hi_max).clamp(mean, total_ns);
+                        let min = s.min_ns.clamp(lo_min, lo_max).min(mean);
+                        let floor = total_ns.saturating_sub((count - 1).saturating_mul(max));
+                        (min.max(floor), max)
+                    }
+                    // No span completed in the window.
+                    _ => (0, 0),
+                };
                 SpanSnapshot {
                     name: s.name.clone(),
-                    count: s.count.saturating_sub(base.map_or(0, |b| b.count)),
-                    total_ns: s.total_ns.saturating_sub(base.map_or(0, |b| b.total_ns)),
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                    buckets: s
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(i, b)| {
-                            b.saturating_sub(
-                                base.map_or(0, |bs| bs.buckets.get(i).copied().unwrap_or(0)),
-                            )
-                        })
-                        .collect(),
+                    count,
+                    total_ns,
+                    min_ns,
+                    max_ns,
+                    buckets,
                 }
             })
             .collect();
@@ -424,6 +462,92 @@ mod tests {
         let d = now.since(&base);
         assert_eq!(d.counter("a"), 7);
         assert_eq!(d.counter("b"), 4);
+    }
+
+    fn span(count: u64, total_ns: u64, min_ns: u64, max_ns: u64, durs_ns: &[u64]) -> SpanSnapshot {
+        let mut buckets = vec![0; BUCKETS];
+        for &d in durs_ns {
+            buckets[bucket_index(d / 1000)] += 1;
+        }
+        SpanSnapshot {
+            name: "s".into(),
+            count,
+            total_ns,
+            min_ns,
+            max_ns,
+            buckets,
+        }
+    }
+
+    fn with_span(s: SpanSnapshot) -> PipelineTelemetry {
+        PipelineTelemetry {
+            counters: vec![],
+            histograms: vec![],
+            spans: vec![s],
+        }
+    }
+
+    /// Regression: delta windows used to carry the absolute `min_ns` /
+    /// `max_ns`, so a window in which the span never ran reported the
+    /// lifetime minimum (a 12 ms "minimum" on a count of zero).
+    #[test]
+    fn since_window_bounds_come_from_delta_buckets() {
+        // Lifetime: one 12 ms span and one 300 µs span.
+        let base = with_span(span(
+            2,
+            12_300_000,
+            300_000,
+            12_000_000,
+            &[300_000, 12_000_000],
+        ));
+
+        // Nothing ran in the window: both bounds are 0.
+        let d = base.since(&base);
+        let s = d.span("s").unwrap();
+        assert_eq!((s.count, s.total_ns, s.min_ns, s.max_ns), (0, 0, 0, 0));
+
+        // The window holds a 5 µs and a 40 µs span. The absolute
+        // maximum (12 ms) lies far outside the window's highest bucket,
+        // (32, 64] µs: it clamps to that bucket, then to the window's
+        // 45 µs total.
+        let now = with_span(span(
+            4,
+            12_345_000,
+            5_000,
+            12_000_000,
+            &[300_000, 12_000_000, 5_000, 40_000],
+        ));
+        let d = now.since(&base);
+        let s = d.span("s").unwrap();
+        assert_eq!(s.count, 2);
+        assert_eq!(s.total_ns, 45_000);
+        assert_eq!(s.min_ns, 5_000, "the true minimum lies inside (4, 8] µs");
+        assert_eq!(s.max_ns, 45_000);
+
+        // A window whose lowest bucket sits above the absolute minimum
+        // raises the minimum to that bucket's lower edge, (64, 128] µs
+        // starting at 65 µs, and the total lifts it further: with at
+        // most 110 µs in the other span, the first took 100 µs.
+        let base = with_span(span(1, 1_000, 1_000, 1_000, &[1_000]));
+        let now = with_span(span(3, 211_000, 1_000, 110_000, &[1_000, 100_000, 110_000]));
+        let s = now.since(&base).span("s").cloned().unwrap();
+        assert_eq!((s.count, s.total_ns), (2, 210_000));
+        assert_eq!((s.min_ns, s.max_ns), (100_000, 110_000));
+
+        // One span in the window: both bounds are its duration.
+        let now = with_span(span(2, 101_000, 1_000, 100_000, &[1_000, 100_000]));
+        let s = now.since(&base).span("s").cloned().unwrap();
+        assert_eq!((s.count, s.min_ns, s.max_ns), (1, 100_000, 100_000));
+
+        // The overflow bucket has no upper edge: the absolute maximum
+        // stands.
+        let huge = 10_000_000_000_000;
+        let s = with_span(span(1, huge, huge, huge, &[huge]))
+            .since(&PipelineTelemetry::default())
+            .span("s")
+            .cloned()
+            .unwrap();
+        assert_eq!((s.min_ns, s.max_ns), (huge, huge));
     }
 
     #[test]

@@ -355,36 +355,18 @@ mod tests {
     fn overlapping_windows_refuse_to_record() {
         use lazy_snorlax::processing::DynInstance;
         use lazy_trace::TimeBounds;
-        use std::collections::HashMap;
-        let mut instances = HashMap::new();
-        instances.insert(
-            Pc(4),
-            vec![DynInstance {
-                tid: 1,
-                seq: 0,
-                time: TimeBounds { lo: 0, hi: 100 },
-            }],
-        );
-        instances.insert(
-            Pc(8),
-            vec![DynInstance {
-                tid: 2,
-                seq: 0,
-                time: TimeBounds { lo: 50, hi: 150 },
-            }],
-        );
-        let trace = ProcessedTrace {
-            executed: [Pc(4), Pc(8)].into_iter().collect(),
-            instances,
-            event_time: HashMap::new(),
-            trigger_tid: 1,
-            trigger_pc: Pc(4),
-            taken_at: 1000,
-            event_count: 2,
-            resyncs: 0,
-            cyc_dropped: 0,
-            mtc_dups: 0,
+        let inst = |tid, lo, hi| DynInstance {
+            tid,
+            seq: 0,
+            time: TimeBounds { lo, hi },
+            resume: 0,
         };
+        let trace = ProcessedTrace::from_instances(
+            1,
+            Pc(4),
+            1000,
+            [(Pc(4), inst(1, 0, 100)), (Pc(8), inst(2, 50, 150))],
+        );
         let racing: HashSet<Pc> = [Pc(4), Pc(8)].into_iter().collect();
         let err = Recording::from_processed_trace(&trace, &racing).unwrap_err();
         assert!(matches!(err, RecordError::Unordered { .. }));

@@ -219,6 +219,33 @@ impl ExecIndex {
         ExecIndex { base, steps }
     }
 
+    /// Number of dense PC slots: one per `PC_STRIDE` step from
+    /// `TEXT_BASE` up to the module's last instruction. Every PC the
+    /// decoder emits has a slot below this bound.
+    pub fn slot_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The dense slot `(pc - TEXT_BASE) / PC_STRIDE` of `pc`, or `None`
+    /// when `pc` is below `TEXT_BASE`, off the stride, or past the
+    /// module's last instruction. Distinct placeable PCs get distinct
+    /// slots, and [`ExecIndex::slot_pc`] inverts the mapping.
+    #[inline]
+    pub fn slot(&self, pc: Pc) -> Option<usize> {
+        let off = pc.0.wrapping_sub(self.base);
+        if pc.0 < self.base || !off.is_multiple_of(Module::PC_STRIDE) {
+            return None;
+        }
+        let slot = usize::try_from(off / Module::PC_STRIDE).ok()?;
+        (slot < self.steps.len()).then_some(slot)
+    }
+
+    /// The PC at dense slot `slot` (the inverse of [`ExecIndex::slot`]).
+    #[inline]
+    pub fn slot_pc(&self, slot: usize) -> Pc {
+        Pc(self.base + slot as u64 * Module::PC_STRIDE)
+    }
+
     #[inline]
     fn get(&self, pc: u64) -> Option<Transfer> {
         let off = pc.wrapping_sub(self.base);
@@ -2166,6 +2193,27 @@ mod tests {
         if last + Module::PC_STRIDE < next_base {
             assert!(index.get(last + Module::PC_STRIDE).is_none());
         }
+    }
+
+    #[test]
+    fn exec_index_slots_are_dense_and_invertible() {
+        let module = looped_module();
+        let index = ExecIndex::build(&module);
+        let mut prev = None;
+        for f in module.functions() {
+            for inst in f.insts() {
+                let slot = index.slot(inst.pc).expect("every instruction has a slot");
+                assert!(slot < index.slot_count());
+                assert_eq!(index.slot_pc(slot), inst.pc);
+                assert!(prev.is_none_or(|p| p < slot), "slots ascend with pcs");
+                prev = Some(slot);
+            }
+        }
+        assert_eq!(index.slot(Pc(Module::TEXT_BASE)), Some(0));
+        assert_eq!(index.slot(Pc(Module::TEXT_BASE - 4)), None);
+        assert_eq!(index.slot(Pc(Module::TEXT_BASE + 2)), None);
+        assert_eq!(index.slot(module.max_pc()), None);
+        assert_eq!(index.slot(Pc(u64::MAX - 3)), None);
     }
 
     /// Asserts all three decoders agree exactly on `bytes`.

@@ -4,9 +4,10 @@
 #   scripts/ci.sh          the standard gate
 #   scripts/ci.sh --full   additionally runs the heavy sweeps
 #                          (54-bug degradation corpus, --features slow-tests)
-#   scripts/ci.sh --fast   the seconds-scale inner-loop lane: only the
-#                          SWAR/scalar packet-scan differential, for
-#                          iterating on the decoder's scan path
+#   scripts/ci.sh --fast   the seconds-scale inner-loop lane: the
+#                          SWAR/scalar packet-scan differential, the
+#                          streaming-law proptests and the snapshot
+#                          aggregation differential
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,8 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-trace --test scan_diff
   echo "==> fast lane: streaming-diagnosis law proptests"
   cargo test --release -q -p lazy-snorlax --test streaming_laws
+  echo "==> fast lane: dense snapshot aggregation vs the per-event-hash reference"
+  cargo test --release -q -p lazy-snorlax --lib processing::aggregate_tests
   echo "CI OK (fast lane)"
   exit 0
 fi
@@ -119,6 +122,7 @@ cargo run --release -q -p lazy-bench --bin daemon -- --reports 4 --rounds 1 --ou
 # submitter lane summary.
 echo "==> BENCH_daemon.json telemetry fields"
 for field in '"telemetry_enabled": true' '"telemetry":' '"daemon.request"' \
+             '"process.aggregate"' \
              '"daemon.conn.accepted_total"' '"daemon.conn.closed_total"' \
              '"daemon.conn.open"' '"daemon.partial_frame_resumes_total"' \
              '"concurrent"' '"busy_retries"'; do
@@ -207,6 +211,7 @@ cargo run --release -q -p lazy-bench --bin fleet -- --fast --out /tmp/BENCH_flee
 # feeds (stream hub + fleet shard).
 echo "==> BENCH_fleet.json telemetry fields"
 for field in '"telemetry_enabled": true' '"telemetry":' '"fleet.diagnose"' \
+             '"process.aggregate"' \
              '"concurrent"' '"warm_cache_exact_hits"' '"cache_exact_hits"' \
              '"sessions_evicted"' '"stream.sessions_evicted_total"' \
              '"fleet.sessions_evicted_total"'; do

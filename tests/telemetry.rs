@@ -39,11 +39,71 @@ fn jobs_of<'a>(collections: &'a [CollectionOutcome]) -> Vec<BatchJob<'a>> {
         .collect()
 }
 
+/// Share of `total` that `parts` leave unexplained, either way.
+fn unexplained(parts: f64, total: f64) -> f64 {
+    (1.0 - parts / total).abs()
+}
+
 #[test]
 fn telemetry_reconciles_with_pipeline_stats() {
     let s = lazy_workloads::scenario_by_id("mysql-3596").expect("corpus bug");
     let server = DiagnosisServer::new(&s.module, ServerConfig::default());
     let collections = collect_reports(&server, 2);
+
+    // --- stage reconciliation --------------------------------------
+    // With one decode worker every stage of `diagnose` runs on the
+    // calling thread, so the stage spans must account for the
+    // `diagnose.job` total, and inside `decode.snapshot` the stream
+    // decoder plus aggregation must account for the snapshot's. A
+    // stage missing a span shows up as unexplained time.
+    const STAGE_TOLERANCE: f64 = 0.10;
+    let single = DiagnosisServer::new(
+        &s.module,
+        ServerConfig {
+            decode_workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let diagnose_all = || {
+        for c in &collections {
+            single
+                .diagnose(&c.failure, &c.failing, &c.successful)
+                .expect("diagnosis");
+        }
+    };
+    // The first call builds the walk table, a one-off outside every
+    // stage; reconcile the calls after it.
+    diagnose_all();
+    let before = lazy_obs::snapshot();
+    diagnose_all();
+    let window = lazy_obs::snapshot().since(&before);
+    let total = |name: &str| window.span(name).map_or(0, |s| s.total_ns) as f64;
+    let job = total("diagnose.job");
+    assert_eq!(
+        window.span("diagnose.job").map(|s| s.count),
+        Some(collections.len() as u64)
+    );
+    let stages: f64 = [
+        "decode.snapshot",
+        "pointsto.solve",
+        "rank.candidates",
+        "patterns.compute",
+        "stats.score",
+    ]
+    .iter()
+    .map(|name| total(name))
+    .sum();
+    assert!(
+        unexplained(stages, job) <= STAGE_TOLERANCE,
+        "stage spans explain {stages} of {job} ns of diagnose.job, beyond {STAGE_TOLERANCE}"
+    );
+    let snapshot = total("decode.snapshot");
+    let inner = total("decode.stream") + total("process.aggregate");
+    assert!(
+        unexplained(inner, snapshot) <= STAGE_TOLERANCE,
+        "decode.stream + process.aggregate explain {inner} of {snapshot} ns of \
+         decode.snapshot, beyond {STAGE_TOLERANCE}"
+    );
 
     // A single-job batch first: with one job the cross-job memo has
     // nothing to dedup (sibling collections DO share success-corpus
@@ -96,6 +156,7 @@ fn telemetry_reconciles_with_pipeline_stats() {
         "batch.job",
         "decode.snapshot",
         "decode.stream",
+        "process.aggregate",
         "pointsto.cache.solve",
         "rank.candidates",
         "patterns.compute",
