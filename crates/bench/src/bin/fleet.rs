@@ -16,8 +16,8 @@
 //! The `concurrent` lane measures the warm-router path: N same-bug
 //! reports routed through one [`FleetRouter`] — all in flight at once,
 //! the per-shard `PointsToCache` persisting across reports — against a
-//! serial baseline that coordinates each report on a fresh (cold)
-//! coordinator. A second `route_all` pass over the now-warm shards
+//! serial baseline that routes each report through a fresh (cold)
+//! one-report router. A second `route_all` pass over the now-warm shards
 //! gives the cache-warm vs cache-cold ratio, and the router's shard
 //! stats must show exact cache hits (the warm-reuse gate). The
 //! session-lifecycle micro-lane expires deliberately tiny-TTL hub and
@@ -27,7 +27,7 @@
 //! Usage: `fleet [bug-id] [--reports N] [--rounds N] [--fast] [--out PATH]`
 
 use lazy_bench::{collect_corpus, server_for, stats};
-use lazy_snorlax::{FleetCoordinator, FleetReport, FleetRouter, ServerConfig, StreamHub};
+use lazy_snorlax::{FleetReport, FleetRouter, ServerConfig, StreamHub};
 use lazy_workloads::scenario_by_id;
 use std::time::{Duration, Instant};
 
@@ -93,16 +93,22 @@ fn main() {
     // Isolate the fleet telemetry contribution from the baseline.
     let telemetry_base = lazy_obs::snapshot();
 
+    let fleet_reports: Vec<FleetReport> = corpus
+        .iter()
+        .map(|c| FleetReport {
+            failure: c.failure.clone(),
+            failing: c.failing.clone(),
+            successful: c.successful.clone(),
+        })
+        .collect();
     let mut sharded: Vec<(usize, f64)> = Vec::new();
     for n in SHARD_COUNTS {
-        let mut coord = FleetCoordinator::in_process(&s.module, ServerConfig::default(), n);
+        let router = FleetRouter::in_process(&s.module, ServerConfig::default(), n);
         let mut times = Vec::new();
         for _ in 0..rounds {
             let t = Instant::now();
-            for (c, expect) in corpus.iter().zip(&reference) {
-                let outcome = coord
-                    .diagnose(&c.failure, &c.failing, &c.successful)
-                    .expect("fleet diagnosis");
+            for (r, expect) in fleet_reports.iter().zip(&reference) {
+                let outcome = router.route(r).expect("fleet diagnosis");
                 assert_eq!(outcome.failed_shards(), 0, "no shard may fail");
                 assert_eq!(
                     outcome.diagnosis.render(&s.module),
@@ -116,22 +122,15 @@ fn main() {
     }
 
     // ---- concurrent multi-report routing ------------------------------
-    // Serial baseline: one report at a time, each on a FRESH coordinator
-    // — no session or points-to state survives between reports, which is
-    // what fleet diagnosis looks like without a router. The serial and
+    // Serial baseline: one report at a time, each through a FRESH
+    // one-report router — no session or points-to state survives
+    // between reports, which is what fleet diagnosis looks like without
+    // a warm router. The serial and
     // warm passes alternate round by round so both sides sample the
     // same CPU-noise windows, and the gate compares min-of-rounds,
     // which strips scheduler noise and keeps the systematic cold-vs-
     // warm difference.
     let route_shards = 2usize;
-    let fleet_reports: Vec<FleetReport> = corpus
-        .iter()
-        .map(|c| FleetReport {
-            failure: c.failure.clone(),
-            failing: c.failing.clone(),
-            successful: c.successful.clone(),
-        })
-        .collect();
     let router = FleetRouter::in_process(&s.module, ServerConfig::default(), route_shards);
     let check =
         |outcomes: &[Result<lazy_snorlax::FleetOutcome, lazy_snorlax::DiagnosisError>],
@@ -153,23 +152,23 @@ fn main() {
     let t = Instant::now();
     check(&router.route_all(&fleet_reports), "cold");
     let concurrent_cold_s = t.elapsed().as_secs_f64();
-    let mut serial_times = Vec::new();
-    let mut warm_times = Vec::new();
-    for _ in 0..rounds {
+    let serial_pass = || {
         let t = Instant::now();
-        for (c, expect) in corpus.iter().zip(&reference) {
-            let mut coord =
-                FleetCoordinator::in_process(&s.module, ServerConfig::default(), route_shards);
-            let outcome = coord
-                .diagnose(&c.failure, &c.failing, &c.successful)
-                .expect("serial fleet diagnosis");
+        for (r, expect) in fleet_reports.iter().zip(&reference) {
+            let cold = FleetRouter::in_process(&s.module, ServerConfig::default(), route_shards);
+            let outcome = cold.route(r).expect("serial fleet diagnosis");
             assert_eq!(
                 outcome.diagnosis.render(&s.module),
                 *expect,
                 "serial coordinate diverged from single-node"
             );
         }
-        serial_times.push(t.elapsed().as_secs_f64());
+        t.elapsed().as_secs_f64()
+    };
+    let mut serial_times = Vec::new();
+    let mut warm_times = Vec::new();
+    for _ in 0..rounds {
+        serial_times.push(serial_pass());
         let t = Instant::now();
         check(&router.route_all(&fleet_reports), "warm");
         warm_times.push(t.elapsed().as_secs_f64());
@@ -184,16 +183,7 @@ fn main() {
     let mut tiebreak = 0;
     while floor(&warm_times) > floor(&serial_times) && tiebreak < 8 {
         tiebreak += 1;
-        let t = Instant::now();
-        for (c, expect) in corpus.iter().zip(&reference) {
-            let mut coord =
-                FleetCoordinator::in_process(&s.module, ServerConfig::default(), route_shards);
-            let outcome = coord
-                .diagnose(&c.failure, &c.failing, &c.successful)
-                .expect("serial fleet diagnosis");
-            assert_eq!(outcome.diagnosis.render(&s.module), *expect);
-        }
-        serial_times.push(t.elapsed().as_secs_f64());
+        serial_times.push(serial_pass());
         let t = Instant::now();
         check(&router.route_all(&fleet_reports), "warm");
         warm_times.push(t.elapsed().as_secs_f64());
@@ -274,7 +264,7 @@ fn main() {
     let warm_cold_ratio = concurrent_cold_s / concurrent_warm_s.max(1e-12);
     println!("--");
     println!(
-        "serial coordinate   {:>9.1} ms   ({serial_tp:.1} reports/s, cold coordinator per report)",
+        "serial coordinate   {:>9.1} ms   ({serial_tp:.1} reports/s, cold router per report)",
         serial_s * 1000.0
     );
     println!(

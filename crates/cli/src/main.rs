@@ -14,8 +14,8 @@ use lazy_ir::{parse_module, printer::render_module};
 use lazy_replay::Recording;
 use lazy_snorlax::{
     interleave_reports, next_stream_session, serve, BatchConfig, BatchJob, CollectionClient,
-    CollectionOutcome, DaemonConfig, DiagnosisServer, FleetCoordinator, FleetReport, FleetRouter,
-    RemoteClient, ServerConfig, ShardConn, StreamReport,
+    CollectionOutcome, DaemonConfig, DiagnosisServer, FleetReport, FleetRouter, RemoteClient,
+    ServerConfig, ShardConn, StreamReport,
 };
 use lazy_vm::{Vm, VmConfig};
 use lazy_workloads::{all_scenarios, extension_scenarios, scenario_by_id, BugScenario};
@@ -631,6 +631,15 @@ fn print_shard_reports(outcome: &lazy_snorlax::FleetOutcome) {
     );
 }
 
+/// One collection as a report for the fleet router.
+fn fleet_report(c: &CollectionOutcome) -> FleetReport {
+    FleetReport {
+        failure: c.failure.clone(),
+        failing: c.failing.clone(),
+        successful: c.successful.clone(),
+    }
+}
+
 fn cmd_fleet_coordinate(id: &str, args: &[String]) -> ExitCode {
     let Some(s) = find_scenario(id) else {
         eprintln!("unknown bug id {id} (see `snorlax corpus`)");
@@ -652,8 +661,8 @@ fn cmd_fleet_coordinate(id: &str, args: &[String]) -> ExitCode {
         col.successful.len(),
         shards
     );
-    let mut coord = FleetCoordinator::in_process(&s.module, ServerConfig::default(), shards);
-    let outcome = match coord.diagnose(&col.failure, &col.failing, &col.successful) {
+    let router = FleetRouter::in_process(&s.module, ServerConfig::default(), shards);
+    let outcome = match router.route(&fleet_report(&col)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("fleet diagnosis failed: {e}");
@@ -723,8 +732,8 @@ fn cmd_fleet_submit(id: &str, args: &[String]) -> ExitCode {
         col.successful.len(),
         shards.len()
     );
-    let mut coord = FleetCoordinator::new(&s.module, ServerConfig::default(), shards);
-    match coord.diagnose(&col.failure, &col.failing, &col.successful) {
+    let router = FleetRouter::new(&s.module, ServerConfig::default(), shards);
+    match router.route(&fleet_report(&col)) {
         Ok(outcome) => {
             print!("{}", outcome.diagnosis.render(&s.module));
             println!();
@@ -791,14 +800,7 @@ fn cmd_fleet_route(id: &str, args: &[String]) -> ExitCode {
         router.shard_count()
     );
 
-    let fleet_reports: Vec<FleetReport> = collections
-        .iter()
-        .map(|c| FleetReport {
-            failure: c.failure.clone(),
-            failing: c.failing.clone(),
-            successful: c.successful.clone(),
-        })
-        .collect();
+    let fleet_reports: Vec<FleetReport> = collections.iter().map(fleet_report).collect();
     let outcomes = router.route_all(&fleet_reports);
 
     let mut failed = false;

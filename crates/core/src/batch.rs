@@ -22,13 +22,11 @@
 //! [`PipelineStats`](crate::PipelineStats) differ.
 
 use crate::error::DiagnosisError;
-use crate::server::{DiagnosisServer, SnapshotMemo, StageTimes};
+use crate::server::{DiagnosisServer, SharedCache, SnapshotMemo};
 use crate::Diagnosis;
-use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
-use lazy_ir::Pc;
+use lazy_analysis::{CacheStats, PointsToCache};
 use lazy_trace::{SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -167,14 +165,13 @@ impl<'m> DiagnosisServer<'m> {
         let workers = cfg.resolved_workers(jobs.len());
         let cache = cfg
             .use_cache
-            .then(|| Mutex::new(PointsToCache::with_capacity(cfg.cache_capacity)));
+            .then(|| SharedCache::with_capacity(cfg.cache_capacity));
         // Jobs of one batch typically share success corpora; the memo
         // processes each distinct snapshot once across the whole batch.
         let memo = SnapshotMemo::new();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<Diagnosis, DiagnosisError>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
-        let degradation = Degradation::default();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -186,7 +183,7 @@ impl<'m> DiagnosisServer<'m> {
                     // in its own slot instead of unwinding through the
                     // scope and aborting every other job in the batch.
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        self.run_job(job, cache.as_ref(), &memo, &degradation)
+                        self.run_job(job, cache.as_ref(), &memo)
                     }))
                     .unwrap_or_else(|p| Err(DiagnosisError::from_panic("diagnose", p)));
                     // A poisoned slot still holds a well-formed Option;
@@ -204,17 +201,15 @@ impl<'m> DiagnosisServer<'m> {
                     .unwrap_or_else(|| Err(DiagnosisError::worker_lost("diagnose")))
             })
             .collect();
-        let cache_stats = cache.map_or(CacheStats::default(), |c| {
-            c.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .stats()
-        });
+        let cache_stats = cache
+            .as_ref()
+            .map_or(CacheStats::default(), SharedCache::stats);
         let failed_jobs = diagnoses.iter().filter(|d| d.is_err()).count();
         let panicked_jobs = diagnoses
             .iter()
             .filter(|d| matches!(d, Err(DiagnosisError::WorkerPanic { .. })))
             .count();
-        let cache_poison_fallbacks = degradation.cache_poison_fallbacks.load(Ordering::Relaxed);
+        let cache_poison_fallbacks = cache.as_ref().map_or(0, SharedCache::poison_fallbacks);
         lazy_obs::counter!("batch.jobs_failed", failed_jobs);
         lazy_obs::counter!("batch.jobs_panicked", panicked_jobs);
         lazy_obs::counter!("batch.cache_poison_fallbacks", cache_poison_fallbacks);
@@ -240,59 +235,20 @@ impl<'m> DiagnosisServer<'m> {
     fn run_job<'a>(
         &self,
         job: &BatchJobView<'a>,
-        cache: Option<&Mutex<PointsToCache>>,
+        cache: Option<&SharedCache>,
         memo: &SnapshotMemo<'a>,
-        degradation: &Degradation,
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("batch.job");
-        let started = Instant::now();
         // Decode budget 1 per job: batch-level parallelism already
         // saturates the pool, so per-thread sharding would only add
         // stitch overhead.
-        let (failing_traces, success_traces) =
-            self.prepare_with(&job.failing, &job.successful, Some(memo), 1)?;
-        let executed: HashSet<Pc> =
-            self.executed_union(failing_traces.iter().chain(&success_traces));
-        let decode_micros = started.elapsed().as_micros();
-
-        let pts_started = Instant::now();
-        let pts = match cache {
-            // A poisoned cache means a job panicked mid-solve and may
-            // have left a partial fixpoint behind; do NOT recover the
-            // guard. Solving from scratch instead yields the same
-            // unique least fixpoint — the determinism contract holds,
-            // this job just pays full points-to cost.
-            Some(c) => match c.lock() {
-                Ok(mut guard) => guard.analyze_scoped(self.module(), &executed),
-                Err(_) => {
-                    degradation
-                        .cache_poison_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    PointsTo::analyze_scoped(self.module(), &executed)
-                }
-            },
-            None => PointsTo::analyze_scoped(self.module(), &executed),
-        };
-        let points_to_micros = pts_started.elapsed().as_micros();
-
-        Ok(self.finish_diagnosis(
+        self.diagnose_job(
             &job.failure,
-            &failing_traces,
-            &success_traces,
-            &executed,
-            &pts,
-            StageTimes {
-                started,
-                decode_micros,
-                points_to_micros,
-            },
-        ))
+            &job.failing,
+            &job.successful,
+            Some(memo),
+            cache,
+            1,
+        )
     }
-}
-
-/// Cross-worker degradation counters, accumulated lock-free while the
-/// batch runs and reported once in [`BatchStats`].
-#[derive(Default)]
-struct Degradation {
-    cache_poison_fallbacks: AtomicUsize,
 }

@@ -918,7 +918,8 @@ pub struct DaemonConfig {
     pub request_timeout: Duration,
     /// Batch execution knobs for [`FrameKind::Batch`] requests.
     pub batch: BatchConfig,
-    /// Per-worker diagnosis server configuration.
+    /// Diagnosis server configuration (the workers' shared server, the
+    /// fleet shard state and the stream hub).
     pub server: ServerConfig,
 }
 
@@ -1087,6 +1088,10 @@ pub fn serve(
     } else {
         cfg.workers
     };
+    // One diagnosis server shared by every worker: its index and walk
+    // table are read-only once built, so workers need no copy of their
+    // own.
+    let server = DiagnosisServer::new(module, cfg.server.clone());
     // One fleet-shard state for the whole daemon: a coordinator's
     // three protocol rounds may arrive on any worker, so the session
     // store must outlive any single request.
@@ -1096,11 +1101,12 @@ pub fn serve(
     let hub = StreamHub::new(module, cfg.server.clone());
     std::thread::scope(|scope| {
         let shared = &shared;
+        let server = &server;
         let fleet = &fleet;
         let hub = &hub;
         let waker = &waker;
         for _ in 0..workers {
-            scope.spawn(move || worker(shared, module, cfg, fleet, hub, waker));
+            scope.spawn(move || worker(shared, server, cfg, fleet, hub, waker));
         }
         event_loop(listener, &wake_rx, shared, cfg, fleet, hub);
         // The loop only returns fully drained; release any worker
@@ -1113,13 +1119,12 @@ pub fn serve(
 
 fn worker(
     shared: &Shared,
-    module: &Module,
+    server: &DiagnosisServer<'_>,
     cfg: &DaemonConfig,
     fleet: &FleetShard<'_>,
     hub: &StreamHub<'_>,
     waker: &reactor::Waker,
 ) {
-    let server = DiagnosisServer::new(module, cfg.server.clone());
     loop {
         let job = {
             let mut q = shared.lock_queue();
@@ -1151,15 +1156,7 @@ fn worker(
             // to service other connections, and trace bytes go from
             // socket buffer to decoder with zero intervening copies.
             catch_unwind(AssertUnwindSafe(|| {
-                process(
-                    &server,
-                    module,
-                    cfg,
-                    fleet,
-                    hub,
-                    job.kind,
-                    job.payload.as_slice(),
-                )
+                process(server, cfg, fleet, hub, job.kind, job.payload.as_slice())
             }))
             .unwrap_or_else(|p| {
                 let e = DiagnosisError::from_panic("daemon", p);
@@ -1183,7 +1180,6 @@ fn worker(
 
 fn process(
     server: &DiagnosisServer<'_>,
-    module: &Module,
     cfg: &DaemonConfig,
     fleet: &FleetShard<'_>,
     hub: &StreamHub<'_>,
@@ -1191,6 +1187,7 @@ fn process(
     payload: &[u8],
 ) -> (FrameKind, Vec<u8>) {
     let error = |e: DiagnosisError| (FrameKind::Error, e.to_string().into_bytes());
+    let module = server.module();
     match kind {
         FrameKind::Diagnose => match decode_diagnose_request_view(payload) {
             Ok(req) => match server.diagnose_views(&req.failure, &req.failing, &req.successful) {

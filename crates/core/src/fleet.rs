@@ -5,7 +5,7 @@
 //! successful traces. At fleet scale the trace corpus for a hot failure
 //! outgrows one diagnosis site, so this module shards it: N `snorlaxd`
 //! shards each hold a partition of the snapshots, and a
-//! [`FleetCoordinator`] merges their *sufficient statistics*
+//! [`FleetRouter`] merges their *sufficient statistics*
 //! ([`PatternStats`]) — never the raw traces — into one diagnosis that
 //! is **byte-identical** to running single-node over the union corpus
 //! (`tests/fleet.rs` proves this for 2/3/7 shards, in-process and over
@@ -21,11 +21,12 @@
 //!    The points-to scope is the *union* executed set, so candidate
 //!    selection cannot start until every shard has reported.
 //! 2. **Patterns** ([`FrameKind::FleetPatterns`]): the coordinator
-//!    broadcasts the merged executed set; each shard runs points-to +
-//!    candidate ranking against it — every shard derives the *same*
-//!    candidates — and generates bug patterns from its local failing
-//!    traces. Support counting needs the global pattern union, hence
-//!    the third round.
+//!    broadcasts the merged executed set; each shard runs the
+//!    single-node steps 4–6 ([`DiagnosisServer`]'s own staged
+//!    pipeline) against it — every shard derives the *same* candidates
+//!    — and generates bug patterns from its local failing traces.
+//!    Support counting needs the global pattern union, hence the third
+//!    round.
 //! 3. **Finalize** ([`FrameKind::FleetFinalize`]): the coordinator
 //!    broadcasts the merged pattern set; each shard counts supports
 //!    over its local traces and returns a serialized [`PatternStats`]
@@ -42,10 +43,11 @@
 //! ## Degradation
 //!
 //! A shard that fails a round (transport error, corrupt frame, typed
-//! server error) is excluded from that round onward and reported in
-//! [`FleetOutcome::shard_reports`]; the diagnosis proceeds from the
-//! survivors' statistics. Only when *every* shard fails does the
-//! coordinator raise [`DiagnosisError::Fleet`].
+//! server error, or round-3 statistics over other trace totals than it
+//! reported in round 1) is excluded from that round onward and
+//! reported in [`FleetOutcome::shard_reports`]; the diagnosis proceeds
+//! from the survivors' statistics. Only when *every* shard fails does
+//! the coordinator raise [`DiagnosisError::Fleet`].
 //!
 //! ## Warm sessions and multi-report routing
 //!
@@ -56,38 +58,39 @@
 //! table and keyed [`PointsToCache`] persist across sessions, so the
 //! second report for a bug reuses the solved points-to scope (the
 //! `pointsto.cache.*` counters, surfaced per shard as [`ShardStats`],
-//! prove the reuse). Sessions themselves are bounded by an idle TTL
+//! prove the reuse). Sessions live in the daemon's session table, at
+//! most 64 per shard and bounded by an idle TTL
 //! ([`ServerConfig::session_ttl`]): a coordinator that dies
-//! mid-protocol is swept on the next admission instead of pinning one
-//! of the [`MAX_SHARD_SESSIONS`] slots until daemon restart.
+//! mid-protocol is swept on the next admission instead of pinning a
+//! slot until daemon restart.
 
-use crate::candidates::select_candidates;
 use crate::daemon::{
     decode_failure, decode_snapshots, encode_failure, encode_snapshots, Cursor, FrameError,
     FrameKind,
 };
 use crate::error::DiagnosisError;
-use crate::patterns::{
-    crash_patterns, deadlock_patterns, AccessKind, AtomKind, BugPattern, DeadlockEdge,
-    PatternContext, PatternEvent,
-};
+use crate::patterns::{AccessKind, AtomKind, BugPattern, DeadlockEdge, PatternEvent};
 use crate::processing::ProcessedTrace;
 use crate::remote::RemoteClient;
-use crate::server::{ordered_events_for, Diagnosis, DiagnosisServer, PipelineStats, ServerConfig};
+use crate::server::{
+    is_deadlock, ordered_events_for, Diagnosis, DiagnosisServer, PipelineStats, ServerConfig,
+    SharedCache,
+};
+use crate::session::{AtCapacity, SessionTable, MAX_SESSIONS};
 use crate::statistics::{top_pattern_count, PatternCounts, PatternStats};
 use lazy_analysis::PointsToCache;
 use lazy_ir::{Module, Pc};
 use lazy_trace::{SnapshotView, TraceSnapshot};
-use lazy_vm::{Failure, FailureKind};
+use lazy_vm::Failure;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Cap on sessions a shard holds open at once; a coordinator that
-/// abandons sessions mid-protocol cannot leak unbounded decoded traces.
-const MAX_SHARD_SESSIONS: usize = 64;
+/// Telemetry for shard sessions the idle TTL evicted.
+static FLEET_SESSIONS_EVICTED: lazy_obs::Counter =
+    lazy_obs::Counter::new("fleet.sessions_evicted_total");
 
 /// One encoded pattern event: pc + access kind.
 const EVENT_BYTES: usize = 8 + 1;
@@ -105,11 +108,6 @@ struct ShardSession {
     successful: Vec<Arc<ProcessedTrace>>,
     /// Candidate PC → type rank, derived in round 2 (empty before).
     rank_of: HashMap<Pc, u32>,
-    /// Last coordinator activity on this session. Sessions idle past
-    /// the shard's TTL are evicted on the next admission or sweep, so
-    /// a coordinator that dies mid-protocol cannot pin a capacity slot
-    /// until daemon restart.
-    touched: Instant,
 }
 
 /// A shard's warm-state and lifecycle counters — what `snorlax fleet
@@ -149,14 +147,15 @@ impl ShardStats {
 /// solved points-to state instead of re-solving from scratch.
 pub struct FleetShard<'m> {
     server: DiagnosisServer<'m>,
-    cfg: ServerConfig,
-    sessions: Mutex<HashMap<u64, ShardSession>>,
+    /// Sessions between protocol rounds. A coordinator that dies
+    /// mid-protocol cannot pin a capacity slot until daemon restart:
+    /// idle sessions expire.
+    sessions: SessionTable<ShardSession>,
     /// Persistent scoped points-to cache, shared by every session this
     /// shard ever serves. Cached solves are byte-identical to scratch
     /// solves (the least-fixpoint solution is unique), so warm reuse
     /// never perturbs a diagnosis.
-    pts_cache: Mutex<PointsToCache>,
-    evicted: AtomicU64,
+    pts_cache: SharedCache,
 }
 
 /// A shard's round-1 answer: its executed set plus decode-health sums.
@@ -214,11 +213,9 @@ impl<'m> FleetShard<'m> {
     /// Creates a shard for `module`.
     pub fn new(module: &'m Module, cfg: ServerConfig) -> FleetShard<'m> {
         let shard = FleetShard {
-            server: DiagnosisServer::new(module, cfg.clone()),
-            cfg,
-            sessions: Mutex::new(HashMap::new()),
-            pts_cache: Mutex::new(PointsToCache::new()),
-            evicted: AtomicU64::new(0),
+            sessions: SessionTable::new(cfg.session_ttl, &FLEET_SESSIONS_EVICTED),
+            server: DiagnosisServer::new(module, cfg),
+            pts_cache: SharedCache::with_capacity(PointsToCache::DEFAULT_CAPACITY),
         };
         // Compile the walk table now, while the shard is idle: round-1
         // collect latency must not pay the one-time build cost.
@@ -226,47 +223,24 @@ impl<'m> FleetShard<'m> {
         shard
     }
 
-    fn lock_sessions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, ShardSession>> {
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Drops every session idle past the TTL, returning how many were
-    /// evicted.
-    fn sweep_locked(&self, sessions: &mut HashMap<u64, ShardSession>) -> usize {
-        let now = Instant::now();
-        let before = sessions.len();
-        sessions.retain(|_, s| now.duration_since(s.touched) < self.cfg.session_ttl);
-        let evicted = before - sessions.len();
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
-            lazy_obs::counter!("fleet.sessions_evicted_total", evicted as u64);
-        }
-        evicted
-    }
-
     /// Evicts sessions idle past the configured TTL (the daemon calls
     /// this from its periodic sweep; admissions sweep on their own).
     /// Returns how many sessions were evicted.
     pub fn sweep_expired(&self) -> usize {
-        let mut sessions = self.lock_sessions();
-        self.sweep_locked(&mut sessions)
+        self.sessions.sweep()
     }
 
     /// Total sessions ever evicted by the idle TTL.
     pub fn sessions_evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.sessions.evicted()
     }
 
     /// A snapshot of the shard's lifecycle and warm-cache counters.
     pub fn stats(&self) -> ShardStats {
-        let cache = self
-            .pts_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
+        let cache = self.pts_cache.stats();
         ShardStats {
-            open_sessions: self.lock_sessions().len() as u64,
-            sessions_evicted: self.sessions_evicted(),
+            open_sessions: self.sessions.len() as u64,
+            sessions_evicted: self.sessions.evicted(),
             cache_lookups: cache.lookups,
             cache_exact_hits: cache.exact_hits,
             cache_delta_solves: cache.delta_solves,
@@ -280,7 +254,7 @@ impl<'m> FleetShard<'m> {
     /// # Errors
     ///
     /// Fails when a failing snapshot does not decode, or when the shard
-    /// already holds [`MAX_SHARD_SESSIONS`] other sessions.
+    /// already holds its cap of other sessions.
     pub fn collect(
         &self,
         session: u64,
@@ -310,26 +284,13 @@ impl<'m> FleetShard<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<CollectReply, DiagnosisError> {
         let _span = lazy_obs::span!("fleet.shard.collect");
-        {
-            // Admission sweeps expired sessions first: an abandoned
-            // coordinator must not brick the shard for live ones.
-            let mut sessions = self.lock_sessions();
-            self.sweep_locked(&mut sessions);
-            if sessions.len() >= MAX_SHARD_SESSIONS && !sessions.contains_key(&session) {
-                return Err(DiagnosisError::Fleet {
-                    detail: format!("shard at capacity: {MAX_SHARD_SESSIONS} open sessions"),
-                });
-            }
-        }
-        let (failing_traces, success_traces) =
-            self.server
-                .prepare_shard(failing, successful, self.cfg.resolved_decode_workers())?;
-        let executed: Vec<Pc> = self
+        let workers = self.server.config().resolved_decode_workers();
+        let (failing_traces, success_traces) = self
             .server
-            .executed_union(failing_traces.iter().chain(&success_traces));
+            .prepare_traces(failing, successful, None, workers)?;
         let all = || failing_traces.iter().chain(success_traces.iter());
         let reply = CollectReply {
-            executed,
+            executed: self.server.executed_union(all()),
             failing: failing_traces.len() as u32,
             successful: success_traces.len() as u32,
             events_total: all().map(|t| t.event_count as u64).sum(),
@@ -337,84 +298,52 @@ impl<'m> FleetShard<'m> {
             cyc_dropped: all().map(|t| t.cyc_dropped).sum(),
             mtc_dups: all().map(|t| t.mtc_dups).sum(),
         };
-        self.lock_sessions().insert(
-            session,
-            ShardSession {
-                failure: failure.clone(),
-                failing: failing_traces,
-                successful: success_traces,
-                rank_of: HashMap::new(),
-                touched: Instant::now(),
-            },
-        );
+        // Admission sweeps expired sessions, checks the cap and inserts
+        // under one lock: an abandoned coordinator cannot brick the
+        // shard, and concurrent collects cannot overshoot the cap.
+        let opened = ShardSession {
+            failure: failure.clone(),
+            failing: failing_traces,
+            successful: success_traces,
+            rank_of: HashMap::new(),
+        };
+        self.sessions
+            .insert(session, opened)
+            .map_err(|AtCapacity| DiagnosisError::Fleet {
+                detail: format!("shard at capacity: {MAX_SESSIONS} open sessions"),
+            })?;
         Ok(reply)
     }
 
-    /// Round 2: run candidate selection against the *global* executed
-    /// set and generate patterns from the local failing traces. This
-    /// mirrors the single-node steps 4–6 exactly — same points-to
-    /// scope, same candidate truncation, same per-trace pattern
-    /// generation, same sort + dedup.
+    /// Round 2: run the single-node steps 4–6 against the *global*
+    /// executed set — every shard derives the same candidates — and
+    /// generate patterns from the local failing traces. The points-to
+    /// step goes through the shard's warm cache: a repeat scope is an
+    /// exact hit, a grown scope a delta solve, both byte-identical to
+    /// a scratch solve.
     ///
     /// # Errors
     ///
     /// [`DiagnosisError::Fleet`] when `session` was never opened here.
     pub fn patterns(&self, session: u64, executed: &[Pc]) -> Result<PatternsReply, DiagnosisError> {
         let _span = lazy_obs::span!("fleet.shard.patterns");
-        let module = self.server.module();
+        let (failure, failing) = self
+            .sessions
+            .with(session, |s| (s.failure.clone(), s.failing.clone()))
+            .ok_or_else(|| unknown(session))?;
         let executed: HashSet<Pc> = executed.iter().copied().collect();
-        let (failure, failing) = {
-            let mut sessions = self.lock_sessions();
-            let sess = sessions.get_mut(&session).ok_or_else(|| unknown(session))?;
-            sess.touched = Instant::now();
-            (sess.failure.clone(), sess.failing.clone())
-        };
-        let is_deadlock = matches!(
-            failure.kind,
-            FailureKind::Deadlock { .. } | FailureKind::Hang
-        );
-        // The warm path: a repeat scope is answered from the persistent
-        // cache (exact hit), a grown scope extends a cached subset
-        // (delta solve) — both byte-identical to the scratch solve the
-        // cold path runs, because the least-fixpoint solution is
-        // unique for a given scope.
-        let pts = self
-            .pts_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .analyze_scoped(module, &executed);
-        let mut cands = select_candidates(module, &pts, &executed, failure.pc, is_deadlock);
-        if cands.ranked.len() > self.cfg.max_candidates {
-            cands.ranked.truncate(self.cfg.max_candidates);
-        }
-        let ctx = PatternContext::new(module, &pts, &cands);
-        let mut patterns: Vec<BugPattern> = Vec::new();
-        for t in &failing {
-            let mut p = if is_deadlock {
-                deadlock_patterns(&ctx, &cands, t)
-            } else {
-                let mut p = crash_patterns(&ctx, &cands, t);
-                p.extend(crate::multivar::multivar_patterns(
-                    module, &pts, &executed, failure.pc, t, &cands,
-                ));
-                p
-            };
-            patterns.append(&mut p);
-        }
-        patterns.sort();
-        patterns.dedup();
-        let rank_of: HashMap<Pc, u32> = cands.ranked.iter().map(|r| (r.pc, r.rank)).collect();
-        let reply = PatternsReply {
-            patterns,
-            failing_pc: cands.failing_pc,
-            pointer_insts: cands.pointer_insts_executed as u64,
-            candidates: cands.ranked.len() as u32,
-            rank1_candidates: cands.rank1_count() as u32,
-        };
-        if let Some(sess) = self.lock_sessions().get_mut(&session) {
-            sess.rank_of = rank_of;
-        }
-        Ok(reply)
+        let found = self
+            .server
+            .patterns(&failure, &failing, &executed, Some(&self.pts_cache));
+        let rank_of = found.rank_of();
+        self.sessions.with(session, |s| s.rank_of = rank_of);
+        Ok(PatternsReply {
+            failing_pc: found.cands.failing_pc,
+            pointer_insts: found.cands.pointer_insts_executed as u64,
+            candidates: found.cands.ranked.len() as u32,
+            rank1_candidates: found.cands.rank1_count() as u32,
+            patterns: found.patterns,
+        })
     }
 
     /// Round 3: count supports for the *global* pattern set over the
@@ -430,21 +359,15 @@ impl<'m> FleetShard<'m> {
     ) -> Result<FinalizeReply, DiagnosisError> {
         let _span = lazy_obs::span!("fleet.shard.finalize");
         let sess = self
-            .lock_sessions()
-            .remove(&session)
+            .sessions
+            .remove(session)
             .ok_or_else(|| unknown(session))?;
         let stats = PatternStats::collect(patterns, &sess.failing, &sess.successful, &sess.rank_of);
         let event_times = match sess.failing.first() {
             Some(t0) => {
                 let pcs: BTreeSet<Pc> = patterns.iter().flat_map(|p| p.pcs()).collect();
                 pcs.into_iter()
-                    .filter_map(|pc| {
-                        t0.instances_of(pc)
-                            .iter()
-                            .map(|i| i.time.lo)
-                            .max()
-                            .map(|t| (pc, t))
-                    })
+                    .filter_map(|pc| t0.last_time(pc).map(|t| (pc, t)))
                     .collect()
             }
             None => Vec::new(),
@@ -454,7 +377,7 @@ impl<'m> FleetShard<'m> {
 
     /// Sessions currently open (abandoned coordinators show up here).
     pub fn open_sessions(&self) -> usize {
-        self.lock_sessions().len()
+        self.sessions.len()
     }
 }
 
@@ -573,78 +496,6 @@ fn next_session() -> u64 {
     (u64::from(std::process::id()) << 32) ^ n
 }
 
-/// Routes one failure report across N shards and merges their partial
-/// statistics into a single fleet-wide [`Diagnosis`].
-pub struct FleetCoordinator<'m> {
-    module: &'m Module,
-    cfg: ServerConfig,
-    shards: Vec<Mutex<ShardConn<'m>>>,
-}
-
-impl<'m> FleetCoordinator<'m> {
-    /// Creates a coordinator over `shards`. `cfg` governs the global
-    /// success cap (`success_factor`) and must match the shards'
-    /// configuration for candidate truncation to agree.
-    pub fn new(
-        module: &'m Module,
-        cfg: ServerConfig,
-        shards: Vec<ShardConn<'m>>,
-    ) -> FleetCoordinator<'m> {
-        FleetCoordinator {
-            module,
-            cfg,
-            shards: shards.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// A coordinator over `n` in-process shards — the pure sharded
-    /// dataflow with no transport, used by determinism tests and the
-    /// `snorlax fleet coordinate` CLI.
-    pub fn in_process(module: &'m Module, cfg: ServerConfig, n: usize) -> FleetCoordinator<'m> {
-        let shards = (0..n)
-            .map(|_| ShardConn::local(module, cfg.clone()))
-            .collect();
-        FleetCoordinator::new(module, cfg, shards)
-    }
-
-    /// Shards configured.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard lifecycle and warm-cache counters, in shard order.
-    pub fn shard_stats(&mut self) -> Vec<Result<ShardStats, DiagnosisError>> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).stats())
-            .collect()
-    }
-
-    /// Runs the three-round fleet protocol and merges the result.
-    ///
-    /// # Errors
-    ///
-    /// [`DiagnosisError::EmptyReport`] with no failing snapshots,
-    /// [`DiagnosisError::Fleet`] when no shards are configured or every
-    /// shard fails a round. A *subset* of shards failing degrades
-    /// instead: see [`FleetOutcome::shard_reports`].
-    pub fn diagnose(
-        &mut self,
-        failure: &Failure,
-        failing: &[TraceSnapshot],
-        successful: &[TraceSnapshot],
-    ) -> Result<FleetOutcome, DiagnosisError> {
-        run_rounds(
-            self.module,
-            &self.cfg,
-            &self.shards,
-            failure,
-            failing,
-            successful,
-        )
-    }
-}
-
 /// The identity the router keys reports by: the failure PC plus a
 /// structural fingerprint of the module it manifested in. Two
 /// endpoints reporting the same crash site of the same binary hash to
@@ -717,8 +568,9 @@ pub struct FleetRouter<'m> {
 }
 
 impl<'m> FleetRouter<'m> {
-    /// A router over `shards`; `cfg` must match the shards' (same
-    /// contract as [`FleetCoordinator::new`]).
+    /// A router over `shards`. `cfg` governs the global success cap
+    /// (`success_factor`) and must match the shards' configuration for
+    /// candidate truncation to agree.
     pub fn new(
         module: &'m Module,
         cfg: ServerConfig,
@@ -732,7 +584,9 @@ impl<'m> FleetRouter<'m> {
         }
     }
 
-    /// A router over `n` in-process warm shards.
+    /// A router over `n` in-process warm shards — the pure sharded
+    /// dataflow with no transport, used by determinism tests and the
+    /// `snorlax fleet coordinate` CLI.
     pub fn in_process(module: &'m Module, cfg: ServerConfig, n: usize) -> FleetRouter<'m> {
         let shards = (0..n)
             .map(|_| ShardConn::local(module, cfg.clone()))
@@ -746,15 +600,18 @@ impl<'m> FleetRouter<'m> {
     }
 
     /// Routes one report: keys it by bug, partitions its snapshots
-    /// round-robin across the shared shards, and runs the three-round
-    /// protocol. Identical routing and rounds to
-    /// [`FleetCoordinator::diagnose`], so the result is byte-identical
-    /// to a single-node diagnosis of the same report — warm state only
-    /// changes *how fast* the shards answer, never what they answer.
+    /// round-robin across the shared shards, runs the three-round
+    /// protocol and merges the shards' partial statistics. The result
+    /// is byte-identical to a single-node diagnosis of the same report
+    /// — warm state only changes *how fast* the shards answer, never
+    /// what they answer.
     ///
     /// # Errors
     ///
-    /// Same contract as [`FleetCoordinator::diagnose`]; an error fails
+    /// [`DiagnosisError::EmptyReport`] with no failing snapshots,
+    /// [`DiagnosisError::Fleet`] when no shards are configured or every
+    /// shard fails a round. A *subset* of shards failing degrades
+    /// instead: see [`FleetOutcome::shard_reports`]. An error fails
     /// this report alone and leaves the shards warm for siblings.
     pub fn route(&self, report: &FleetReport) -> Result<FleetOutcome, DiagnosisError> {
         let key = BugKey::of(self.module, &report.failure);
@@ -851,10 +708,9 @@ impl<'m> FleetRouter<'m> {
     }
 }
 
-/// The three-round fleet protocol over a shared shard set — the one
-/// implementation behind [`FleetCoordinator::diagnose`] (exclusive
-/// shards) and [`FleetRouter::route`] (shards shared by concurrent
-/// reports; per-shard mutexes serialize individual rounds).
+/// The three-round fleet protocol over a shared shard set, behind
+/// [`FleetRouter::route`]: shards are shared by concurrent reports, and
+/// per-shard mutexes serialize individual rounds.
 fn run_rounds(
     module: &Module,
     cfg: &ServerConfig,
@@ -904,10 +760,6 @@ fn run_rounds(
         .collect();
 
     let session = next_session();
-    let is_deadlock = matches!(
-        failure.kind,
-        FailureKind::Deadlock { .. } | FailureKind::Hang
-    );
 
     // Round 1: collect.
     let round_started = Instant::now();
@@ -975,13 +827,12 @@ fn run_rounds(
     let round_started = Instant::now();
     let finals: Vec<Option<FinalizeReply>> = {
         let _round = lazy_obs::span!("fleet.finalize");
-        record_round(
-            "finalize",
-            &mut reports,
-            fan_out(shards, &alive, |_, shard| {
-                shard.finalize(session, &patterns)
-            }),
-        )
+        let results = fan_out(shards, &alive, |k, shard| {
+            let reply = shard.finalize(session, &patterns)?;
+            check_totals(&reply.stats, collected[k].as_ref())?;
+            Ok(reply)
+        });
+        record_round("finalize", &mut reports, results)
     };
     for (a, r) in alive.iter_mut().zip(&finals) {
         *a = *a && r.is_some();
@@ -1046,7 +897,7 @@ fn run_rounds(
             scores,
             stats,
             failing_pc: cand_info.failing_pc,
-            is_deadlock,
+            is_deadlock: is_deadlock(failure),
             ordered_events,
         },
         shard_reports: reports,
@@ -1103,6 +954,23 @@ fn record_round<R>(
             None => None,
         })
         .collect()
+}
+
+/// A round-3 reply must count exactly the traces the same shard
+/// decoded in round 1: statistics over any other corpus are not this
+/// report's, and inflated totals would overflow the merge.
+fn check_totals(stats: &PatternStats, round1: Option<&CollectReply>) -> Result<(), DiagnosisError> {
+    let counted = (stats.failing_traces(), stats.successful_traces());
+    match round1 {
+        Some(r) if counted == (r.failing as usize, r.successful as usize) => Ok(()),
+        _ => Err(DiagnosisError::Fleet {
+            detail: format!(
+                "partial statistics cover {} failing + {} successful traces, \
+                 not the traces the shard collected",
+                counted.0, counted.1
+            ),
+        }),
+    }
 }
 
 /// All-shards-failed is the one fleet-fatal condition.
@@ -1520,6 +1388,10 @@ pub fn decode_finalize_reply(payload: &[u8]) -> Result<FinalizeReply, FrameError
             fail_support: c.u32()? as usize,
             success_support: c.u32()? as usize,
         };
+        // No shard can see a pattern in more traces than it holds.
+        if counts.fail_support > failing || counts.success_support > successful {
+            return Err(FrameError::BadPayload("support exceeds trace total"));
+        }
         entries.push((p, counts));
     }
     let m = c.u32()? as usize;
@@ -1743,6 +1615,36 @@ mod tests {
             decode_finalize_reply(&trailing),
             Err(FrameError::BadPayload("trailing bytes"))
         );
+    }
+
+    /// A shard cannot see a pattern in more traces than it holds, so a
+    /// well-formed reply claiming it is rejected before it can outrank
+    /// every real pattern.
+    #[test]
+    fn finalize_reply_rejects_support_beyond_trace_total() {
+        let reply = |fail_support, success_support| FinalizeReply {
+            stats: PatternStats::from_parts(
+                vec![(
+                    sample_patterns().remove(0),
+                    PatternCounts {
+                        type_rank: 1,
+                        fail_support,
+                        success_support,
+                    },
+                )],
+                1,
+                10,
+            ),
+            event_times: Vec::new(),
+        };
+        assert!(decode_finalize_reply(&encode_finalize_reply(&reply(1, 10))).is_ok());
+        for (fail, success) in [(5, 0), (1, 11)] {
+            assert_eq!(
+                decode_finalize_reply(&encode_finalize_reply(&reply(fail, success))),
+                Err(FrameError::BadPayload("support exceeds trace total")),
+                "{fail} failing / {success} successful supports over 1 / 10 traces"
+            );
+        }
     }
 
     #[test]

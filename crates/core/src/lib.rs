@@ -56,6 +56,7 @@ pub mod processing;
 pub mod reactor;
 pub mod remote;
 pub mod server;
+mod session;
 pub mod statistics;
 pub mod streaming;
 
@@ -66,8 +67,8 @@ pub use client::{CollectionClient, CollectionOutcome};
 pub use daemon::{serve, DaemonConfig, DaemonStats, FrameError, FrameKind};
 pub use error::DiagnosisError;
 pub use fleet::{
-    module_fingerprint, BugKey, FleetCoordinator, FleetOutcome, FleetReport, FleetRouter,
-    FleetShard, ShardConn, ShardReport, ShardStats,
+    module_fingerprint, BugKey, FleetOutcome, FleetReport, FleetRouter, FleetShard, ShardConn,
+    ShardReport, ShardStats,
 };
 pub use multivar::multivar_patterns;
 pub use patterns::{AtomKind, BugPattern, DeadlockEdge, PatternEvent};

@@ -171,6 +171,13 @@ impl ProcessedTrace {
         self.last_instance_in_thread(self.trigger_pc, self.trigger_tid)
     }
 
+    /// The latest observed time (`time.lo`) of any instance of `pc`:
+    /// the key that orders a root cause's events (`O_S`), wherever the
+    /// trace lives.
+    pub fn last_time(&self, pc: Pc) -> Option<u64> {
+        self.instances_of(pc).iter().map(|i| i.time.lo).max()
+    }
+
     /// Returns `true` if `pc` executed in a thread other than `tid`.
     pub fn executed_remotely(&self, pc: Pc, tid: u32) -> bool {
         self.instances_of(pc).iter().any(|i| i.tid != tid)

@@ -8,12 +8,13 @@
 //! not the program size (hybrid points-to is scoped to executed code),
 //! and a single failure is enough to produce a diagnosis (no sampling).
 
-use crate::candidates::select_candidates;
+use crate::candidates::{select_candidates, CandidateSet};
 use crate::error::DiagnosisError;
+use crate::multivar::multivar_patterns;
 use crate::patterns::{crash_patterns, deadlock_patterns, BugPattern, PatternContext};
 use crate::processing::{process_snapshot_view, ProcessedTrace};
 use crate::statistics::{score_patterns, top_pattern_count, PatternScore};
-use lazy_analysis::PointsTo;
+use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
 use lazy_ir::{Cfg, Module, Pc};
 use lazy_trace::{ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable};
 use lazy_vm::{Failure, FailureKind};
@@ -370,45 +371,16 @@ impl<'m> DiagnosisServer<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("diagnose.job");
-        let started = Instant::now();
-        let (failing_traces, success_traces) = self.prepare_with(
-            failing,
-            successful,
-            None,
-            self.cfg.resolved_decode_workers(),
-        )?;
-        let executed: HashSet<Pc> =
-            self.executed_union(failing_traces.iter().chain(&success_traces));
-        let decode_micros = started.elapsed().as_micros();
-
-        // Step 4: hybrid (scope-restricted) points-to analysis.
-        let pts_started = Instant::now();
-        let pts = PointsTo::analyze_scoped(self.module, &executed);
-        let points_to_micros = pts_started.elapsed().as_micros();
-
-        Ok(self.finish_diagnosis(
-            failure,
-            &failing_traces,
-            &success_traces,
-            &executed,
-            &pts,
-            StageTimes {
-                started,
-                decode_micros,
-                points_to_micros,
-            },
-        ))
+        let workers = self.cfg.resolved_decode_workers();
+        self.diagnose_job(failure, failing, successful, None, None, workers)
     }
 
-    /// Steps 2–3 with an explicit decode-worker budget and an optional
-    /// cross-job snapshot memo (batch mode: the same success corpus is
-    /// typically attached to many jobs, so its snapshots are processed
-    /// once and shared by `Arc`).
-    ///
-    /// All snapshots of the report are processed concurrently under the
-    /// worker budget, and each snapshot's threads decode concurrently
-    /// too ([`process_snapshot_view`]); aggregation order is fixed, so
-    /// the result is bit-identical to sequential processing.
+    /// Steps 2–7 for one report with an explicit decode-worker budget,
+    /// an optional cross-job snapshot memo and an optional shared
+    /// points-to cache — the body of both [`DiagnosisServer::diagnose`]
+    /// and every batch job. Batch jobs for the same failure typically
+    /// attach the same success corpus, so the memo processes each of
+    /// its snapshots once and shares it by `Arc`.
     ///
     /// # Errors
     ///
@@ -416,39 +388,47 @@ impl<'m> DiagnosisServer<'m> {
     /// failures are skipped, mirroring a production server that cannot
     /// hold up a diagnosis for one corrupt success trace), or with
     /// [`DiagnosisError::EmptyReport`] when `failing` is empty.
-    pub(crate) fn prepare_with<'a>(
+    pub(crate) fn diagnose_job<'a>(
         &self,
+        failure: &Failure,
         failing: &[SnapshotView<'a>],
         successful: &[SnapshotView<'a>],
         memo: Option<&SnapshotMemo<'a>>,
+        cache: Option<&SharedCache>,
         workers: usize,
-    ) -> Result<Prepared, DiagnosisError> {
+    ) -> Result<Diagnosis, DiagnosisError> {
         if failing.is_empty() {
             return Err(DiagnosisError::EmptyReport);
         }
-        let success_cap = self.cfg.success_factor * failing.len().max(1);
+        let started = Instant::now();
+        let success_cap = self.cfg.success_factor * failing.len();
         let successful = &successful[..successful.len().min(success_cap)];
-        self.prepare_traces(failing, successful, memo, workers)
+        let (failing_traces, success_traces) =
+            self.prepare_traces(failing, successful, memo, workers)?;
+        let times = StageTimes {
+            started,
+            decode_micros: started.elapsed().as_micros(),
+        };
+        let diagnosis = self.analyze(failure, &failing_traces, &success_traces, cache, times);
+        lazy_obs::histogram!("diagnose.analysis_us", diagnosis.stats.analysis_micros);
+        Ok(diagnosis)
     }
 
-    /// [`DiagnosisServer::prepare_with`] for one fleet shard's
-    /// partition. The coordinator applies the global success cap
-    /// *before* routing (a per-shard cap would depend on the shard
-    /// count and break byte-identity with single-node), and a shard may
-    /// legitimately hold zero failing traces when there are fewer
+    /// Steps 2–3 over snapshots the caller has already capped: a
+    /// report (`diagnose_job`), one fleet shard's partition, or one
+    /// streamed report. The fleet coordinator applies the global
+    /// success cap *before* routing (a per-shard cap would depend on
+    /// the shard count and break byte-identity with single-node), a
+    /// stream caps its retained corpus at every rescore, and a shard
+    /// may legitimately hold zero failing traces when there are fewer
     /// failing reports than shards — so neither the cap nor the
     /// `EmptyReport` check applies here.
-    pub(crate) fn prepare_shard(
-        &self,
-        failing: &[SnapshotView<'_>],
-        successful: &[SnapshotView<'_>],
-        workers: usize,
-    ) -> Result<Prepared, DiagnosisError> {
-        self.prepare_traces(failing, successful, None, workers)
-    }
-
-    /// Shared decode body: `successful` is already capped by the caller.
-    fn prepare_traces<'a>(
+    ///
+    /// All snapshots are processed concurrently under the worker
+    /// budget, and each snapshot's threads decode concurrently too
+    /// ([`process_snapshot_view`]); aggregation order is fixed, so the
+    /// result is bit-identical to sequential processing.
+    pub(crate) fn prepare_traces<'a>(
         &self,
         failing: &[SnapshotView<'a>],
         successful: &[SnapshotView<'a>],
@@ -463,30 +443,21 @@ impl<'m> DiagnosisServer<'m> {
         // the workers would serialize their first decodes on it.
         let table = Some(self.walk_table());
         let process_one = |s: &SnapshotView<'a>| -> Processed {
-            if let Some(m) = memo {
-                if let Some(hit) = m.lookup(s) {
-                    return Ok(hit);
-                }
-                let t = Arc::new(process_snapshot_view(
-                    self.module,
-                    &self.index,
-                    table,
-                    &self.cfg.trace,
-                    s,
-                    inner,
-                )?);
-                m.insert(s.clone(), Arc::clone(&t));
-                Ok(t)
-            } else {
-                Ok(Arc::new(process_snapshot_view(
-                    self.module,
-                    &self.index,
-                    table,
-                    &self.cfg.trace,
-                    s,
-                    inner,
-                )?))
+            if let Some(hit) = memo.and_then(|m| m.lookup(s)) {
+                return Ok(hit);
             }
+            let t = Arc::new(process_snapshot_view(
+                self.module,
+                &self.index,
+                table,
+                &self.cfg.trace,
+                s,
+                inner,
+            )?);
+            if let Some(m) = memo {
+                m.insert(s.clone(), Arc::clone(&t));
+            }
+            Ok(t)
         };
         let results: Vec<Processed> = if outer > 1 {
             let slots: Vec<Mutex<Option<Processed>>> =
@@ -566,30 +537,48 @@ impl<'m> DiagnosisServer<'m> {
         pcs.into_iter().collect()
     }
 
-    /// Steps 4–7 given an already-computed points-to result. The
-    /// diagnosis depends on `pts` only through its points-to *sets*, so
-    /// any analysis returning the scoped fixpoint (from scratch or via
-    /// the incremental cache) yields an identical diagnosis.
-    pub(crate) fn finish_diagnosis(
+    /// Step 4: hybrid (scope-restricted) points-to analysis over
+    /// `executed` — through the shared `cache` when one is given, from
+    /// scratch otherwise. Either way the result is the scope's unique
+    /// least fixpoint, so the choice changes timing, never a diagnosis.
+    ///
+    /// The poison rule: a cache whose lock is poisoned may hold state a
+    /// panicked solve left half-written, so it is never solved from.
+    /// The solve falls back to scratch and the fallback is counted.
+    fn points_to(&self, executed: &HashSet<Pc>, cache: Option<&SharedCache>) -> PointsTo {
+        if let Some(shared) = cache {
+            match shared.cache.lock() {
+                Ok(mut cache) => return cache.analyze_scoped(self.module, executed),
+                Err(_) => {
+                    shared.poison_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    lazy_obs::counter!("pointsto.cache.poison_fallbacks_total", 1u64);
+                }
+            }
+        }
+        PointsTo::analyze_scoped(self.module, executed)
+    }
+
+    /// Steps 4–6 against an executed-instruction scope: points-to,
+    /// candidate selection with type ranking and truncation, then the
+    /// bug patterns of every failing trace, sorted and deduplicated.
+    /// A fleet shard runs exactly this in round 2, against the global
+    /// executed set and its warm cache.
+    pub(crate) fn patterns(
         &self,
         failure: &Failure,
         failing_traces: &[Arc<ProcessedTrace>],
-        success_traces: &[Arc<ProcessedTrace>],
         executed: &HashSet<Pc>,
-        pts: &PointsTo,
-        times: StageTimes,
-    ) -> Diagnosis {
-        let pattern_started = Instant::now();
+        cache: Option<&SharedCache>,
+    ) -> PatternSet {
+        let pts_started = Instant::now();
+        let pts = self.points_to(executed, cache);
+        let points_to_micros = pts_started.elapsed().as_micros();
+
         // Steps 4–5: candidate selection + type ranking.
-        let is_deadlock = matches!(
-            failure.kind,
-            FailureKind::Deadlock { .. } | FailureKind::Hang
-        );
+        let deadlock = is_deadlock(failure);
         let rank_span = lazy_obs::span!("rank.candidates");
-        let mut cands = select_candidates(self.module, pts, executed, failure.pc, is_deadlock);
-        if cands.ranked.len() > self.cfg.max_candidates {
-            cands.ranked.truncate(self.cfg.max_candidates);
-        }
+        let mut cands = select_candidates(self.module, &pts, executed, failure.pc, deadlock);
+        cands.ranked.truncate(self.cfg.max_candidates);
         drop(rank_span);
         lazy_obs::counter!("rank.candidates_total", cands.ranked.len());
         lazy_obs::counter!("rank.rank1_total", cands.rank1_count());
@@ -598,78 +587,165 @@ impl<'m> DiagnosisServer<'m> {
         // the multi-variable extension for crashes feeding from a
         // variable pair — the paper's §7 future work).
         let patterns_span = lazy_obs::span!("patterns.compute");
-        let ctx = PatternContext::new(self.module, pts, &cands);
+        let ctx = PatternContext::new(self.module, &pts, &cands);
         let mut patterns: Vec<BugPattern> = Vec::new();
         for t in failing_traces {
-            let mut p = if is_deadlock {
-                deadlock_patterns(&ctx, &cands, t)
+            if deadlock {
+                patterns.extend(deadlock_patterns(&ctx, &cands, t));
             } else {
-                let mut p = crash_patterns(&ctx, &cands, t);
-                p.extend(crate::multivar::multivar_patterns(
+                patterns.extend(crash_patterns(&ctx, &cands, t));
+                patterns.extend(multivar_patterns(
                     self.module,
-                    pts,
+                    &pts,
                     executed,
                     failure.pc,
                     t,
                     &cands,
                 ));
-                p
-            };
-            patterns.append(&mut p);
+            }
         }
         patterns.sort();
         patterns.dedup();
         drop(patterns_span);
         lazy_obs::counter!("patterns.generated_total", patterns.len());
+        PatternSet {
+            cands,
+            patterns,
+            points_to_micros,
+        }
+    }
+
+    /// Steps 4–7 over decoded traces: the one staged pipeline behind
+    /// `diagnose`, every batch job, and a stream's per-fold rescore and
+    /// final render. The points-to scope is the traces' executed set.
+    pub(crate) fn analyze(
+        &self,
+        failure: &Failure,
+        failing_traces: &[Arc<ProcessedTrace>],
+        success_traces: &[Arc<ProcessedTrace>],
+        cache: Option<&SharedCache>,
+        times: StageTimes,
+    ) -> Diagnosis {
+        let all_traces = || failing_traces.iter().chain(success_traces);
+        let executed: HashSet<Pc> = self.executed_union(all_traces());
+        let steps_started = Instant::now();
+        let found = self.patterns(failure, failing_traces, &executed, cache);
 
         // Step 7: statistical diagnosis (with the §4.3 type ranks as
         // the tie-break).
         let stats_span = lazy_obs::span!("stats.score");
-        let rank_of: std::collections::HashMap<Pc, u32> =
-            cands.ranked.iter().map(|r| (r.pc, r.rank)).collect();
-        let scores = score_patterns(&patterns, failing_traces, success_traces, &rank_of);
+        let scores = score_patterns(
+            &found.patterns,
+            failing_traces,
+            success_traces,
+            &found.rank_of(),
+        );
         let top_patterns = top_pattern_count(&scores);
         drop(stats_span);
         lazy_obs::counter!("stats.patterns_scored_total", scores.len());
 
         // Order the root cause's events by observed time in the first
         // failing trace (never-executed late events sort last).
-        let ordered_events = match scores.first().filter(|s| s.f1 > 0.0) {
-            Some(top) => {
-                let t0 = &failing_traces[0];
-                ordered_events_for(top, |pc| {
-                    t0.instances_of(pc).iter().map(|inst| inst.time.lo).max()
-                })
-            }
-            None => Vec::new(),
+        let ordered_events = match (
+            scores.first().filter(|s| s.f1 > 0.0),
+            failing_traces.first(),
+        ) {
+            (Some(top), Some(t0)) => ordered_events_for(top, |pc| t0.last_time(pc)),
+            _ => Vec::new(),
         };
 
-        let all_traces = || failing_traces.iter().chain(success_traces.iter());
+        let cands = &found.cands;
         let stats = PipelineStats {
             static_insts: self.module.inst_count(),
             executed_insts: executed.len(),
             pointer_insts: cands.pointer_insts_executed,
             candidates: cands.ranked.len(),
             rank1_candidates: cands.rank1_count(),
-            patterns: patterns.len(),
-            top_patterns: if patterns.is_empty() { 0 } else { top_patterns },
+            patterns: found.patterns.len(),
+            top_patterns: if found.patterns.is_empty() {
+                0
+            } else {
+                top_patterns
+            },
             events_total: all_traces().map(|t| t.event_count).sum(),
             analysis_micros: times.started.elapsed().as_micros(),
             decode_micros: times.decode_micros,
-            points_to_micros: times.points_to_micros,
-            pattern_micros: pattern_started.elapsed().as_micros(),
+            points_to_micros: found.points_to_micros,
+            pattern_micros: steps_started
+                .elapsed()
+                .as_micros()
+                .saturating_sub(found.points_to_micros),
             decode_resyncs: all_traces().map(|t| t.resyncs).sum(),
             cyc_dropped: all_traces().map(|t| t.cyc_dropped).sum(),
             mtc_dups: all_traces().map(|t| t.mtc_dups).sum(),
         };
-        lazy_obs::histogram!("diagnose.analysis_us", stats.analysis_micros);
         Diagnosis {
             scores,
             stats,
             failing_pc: cands.failing_pc,
-            is_deadlock,
+            is_deadlock: is_deadlock(failure),
             ordered_events,
         }
+    }
+}
+
+/// Whether `failure` takes the deadlock path (lock-cycle patterns over
+/// lock candidates) rather than the crash path.
+pub(crate) fn is_deadlock(failure: &Failure) -> bool {
+    matches!(
+        failure.kind,
+        FailureKind::Deadlock { .. } | FailureKind::Hang
+    )
+}
+
+/// Steps 4–6's result for one failure: the ranked candidates and the
+/// sorted, deduplicated patterns of its failing traces.
+pub(crate) struct PatternSet {
+    /// Ranked candidates after truncation.
+    pub(crate) cands: CandidateSet,
+    /// Every failing trace's patterns, sorted and deduplicated.
+    pub(crate) patterns: Vec<BugPattern>,
+    /// Microseconds step 4 (points-to) took.
+    pub(crate) points_to_micros: u128,
+}
+
+impl PatternSet {
+    /// Candidate PC → type rank: step 7's tie-break input.
+    pub(crate) fn rank_of(&self) -> HashMap<Pc, u32> {
+        self.cands.ranked.iter().map(|r| (r.pc, r.rank)).collect()
+    }
+}
+
+/// A [`PointsToCache`] shared by many diagnoses (the jobs of one batch,
+/// every session of a fleet shard), with the count of solves that the
+/// poison rule of step 4 (`DiagnosisServer::points_to`) sent to
+/// scratch.
+pub(crate) struct SharedCache {
+    cache: Mutex<PointsToCache>,
+    poison_fallbacks: AtomicUsize,
+}
+
+impl SharedCache {
+    /// An empty cache retaining up to `capacity` solved scopes.
+    pub(crate) fn with_capacity(capacity: usize) -> SharedCache {
+        SharedCache {
+            cache: Mutex::new(PointsToCache::with_capacity(capacity)),
+            poison_fallbacks: AtomicUsize::new(0),
+        }
+    }
+
+    /// The cache's lookup counters. Reading counters from a poisoned
+    /// cache is safe: only solving from it is not.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats()
+    }
+
+    /// Solves that found the cache poisoned and ran from scratch.
+    pub(crate) fn poison_fallbacks(&self) -> usize {
+        self.poison_fallbacks.load(Ordering::Relaxed)
     }
 }
 
@@ -697,7 +773,7 @@ pub(crate) fn ordered_events_for(
 }
 
 /// Decoded failing traces and decoded successful traces — the output
-/// of [`DiagnosisServer::prepare_with`]. Traces are `Arc`-shared so
+/// of [`DiagnosisServer::prepare_traces`]. Traces are `Arc`-shared so
 /// batch jobs can reuse identical success-corpus snapshots without
 /// reprocessing (or copying) them.
 pub(crate) type Prepared = (Vec<Arc<ProcessedTrace>>, Vec<Arc<ProcessedTrace>>);
@@ -781,14 +857,12 @@ impl<'a> SnapshotMemo<'a> {
 }
 
 /// Wall-clock bookkeeping threaded from the pipeline's front half into
-/// [`DiagnosisServer::finish_diagnosis`].
+/// [`DiagnosisServer::analyze`].
 pub(crate) struct StageTimes {
     /// When the whole job started (total time measured from here).
     pub(crate) started: Instant,
     /// Microseconds spent in steps 2–3.
     pub(crate) decode_micros: u128,
-    /// Microseconds spent in step 4 (points-to).
-    pub(crate) points_to_micros: u128,
 }
 
 #[cfg(test)]
@@ -822,6 +896,50 @@ mod tests {
         let plan = server.breakpoint_plan(halt_pc);
         assert_eq!(plan[0], halt_pc);
         assert!(plan.len() >= 3, "predecessor blocks included: {plan:?}");
+    }
+
+    /// The poison rule: once a solve panics while holding the shared
+    /// cache, later solves never read the cache's state again — they
+    /// run from scratch, agree with a scratch solve, and are counted.
+    #[test]
+    fn poisoned_shared_cache_falls_back_to_scratch() {
+        let mut mb = ModuleBuilder::new("m");
+        let ga = mb.global("a", Type::I64, vec![0]);
+        let gb = mb.global("b", Type::I64, vec![0]);
+        let mut f = mb.function("main", vec![], Type::Void);
+        let e = f.entry();
+        f.switch_to(e);
+        f.store(ga.clone(), Operand::const_int(1), Type::I64);
+        f.store(gb, Operand::const_int(2), Type::I64);
+        let _ = f.load(ga, Type::I64);
+        f.halt();
+        f.finish();
+        let m = mb.finish().unwrap();
+        let server = DiagnosisServer::new(&m, ServerConfig::default());
+        let executed: HashSet<Pc> = m.all_insts().map(|(i, _)| i.pc).collect();
+        let scratch = PointsTo::analyze_scoped(&m, &executed);
+        let same_as_scratch = |pts: &PointsTo| {
+            m.all_insts().all(|(i, _)| {
+                pts.pts_of_pointer_at(&m, i.pc) == scratch.pts_of_pointer_at(&m, i.pc)
+            })
+        };
+
+        let cache = SharedCache::with_capacity(4);
+        assert!(same_as_scratch(&server.points_to(&executed, Some(&cache))));
+        assert_eq!(cache.stats().lookups, 1);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _held = cache.cache.lock();
+            panic!("a solve dies holding the cache");
+        }));
+        assert!(cache.cache.is_poisoned());
+
+        assert!(same_as_scratch(&server.points_to(&executed, Some(&cache))));
+        assert_eq!(cache.poison_fallbacks(), 1);
+        assert_eq!(
+            cache.stats().lookups,
+            1,
+            "the poisoned cache is never solved from"
+        );
     }
 
     /// Regression: deadlock rendering used `(b'A' + i) as char`, which

@@ -83,7 +83,7 @@ pub struct PatternCounts {
 /// per-shard [`collect`](PatternStats::collect) results equals
 /// collecting over the whole corpus at once. `finalize` is therefore
 /// invariant under sharding — the contract behind
-/// [`crate::fleet::FleetCoordinator`].
+/// [`crate::fleet::FleetRouter`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PatternStats {
     /// Per-pattern counts, keyed canonically (`BTreeMap` so iteration

@@ -68,27 +68,21 @@
 //!   across connections.
 //! * CLI: `snorlax stream submit/status/finish`.
 
-use crate::candidates::select_candidates;
 use crate::daemon::{
     decode_failure, decode_snapshots_view, encode_failure, encode_snapshots, Cursor, FrameError,
 };
 use crate::error::DiagnosisError;
-use crate::patterns::{crash_patterns, deadlock_patterns, BugPattern, PatternContext};
+use crate::patterns::BugPattern;
 use crate::processing::ProcessedTrace;
 use crate::server::{Diagnosis, DiagnosisServer, ServerConfig, StageTimes};
-use crate::statistics::{score_patterns, top_pattern_count, PatternScore};
-use lazy_analysis::PointsTo;
-use lazy_ir::{Module, Pc};
+use crate::session::{AtCapacity, SessionTable, MAX_SESSIONS};
+use crate::statistics::top_pattern_count;
+use lazy_ir::Module;
 use lazy_trace::{SnapshotView, TraceSnapshot};
-use lazy_vm::{Failure, FailureKind};
-use std::collections::{HashMap, HashSet};
+use lazy_vm::Failure;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Cap on concurrently open [`StreamHub`] sessions; a client that
-/// abandons sessions mid-stream cannot leak unbounded decoded traces.
-const MAX_STREAM_SESSIONS: usize = 64;
 
 // ---------------------------------------------------------------------
 // Seeded PRNG + reservoir sampler.
@@ -395,15 +389,15 @@ impl StreamState {
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
         let workers = server.config().resolved_decode_workers();
-        let (mut failing, _) = match server.prepare_shard(std::slice::from_ref(view), &[], workers)
-        {
-            Ok(p) => p,
-            Err(e) => {
-                self.reports_rejected += 1;
-                lazy_obs::counter!("stream.rejected_total", 1u64);
-                return Err(e);
-            }
-        };
+        let (mut failing, _) =
+            match server.prepare_traces(std::slice::from_ref(view), &[], None, workers) {
+                Ok(p) => p,
+                Err(e) => {
+                    self.reports_rejected += 1;
+                    lazy_obs::counter!("stream.rejected_total", 1u64);
+                    return Err(e);
+                }
+            };
         if self.failure.is_none() {
             self.failure = Some(failure.clone());
         }
@@ -423,7 +417,7 @@ impl StreamState {
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
         let workers = server.config().resolved_decode_workers();
-        let retained = match server.prepare_shard(&[], std::slice::from_ref(view), workers) {
+        let retained = match server.prepare_traces(&[], std::slice::from_ref(view), None, workers) {
             Ok((_, mut successes)) => successes.pop(),
             Err(_) => None,
         };
@@ -440,27 +434,18 @@ impl StreamState {
         lazy_obs::histogram!("stream.fold_us", started.elapsed().as_micros());
     }
 
-    /// The capped success corpus in retention order — the streaming
-    /// analogue of batch `prepare_with`'s `success_factor` cap.
-    fn capped_successes(&self, cfg: &ServerConfig) -> Vec<Arc<ProcessedTrace>> {
-        let cap = cfg.success_factor * self.failing.len().max(1);
-        self.successes.items().iter().take(cap).cloned().collect()
-    }
-
-    /// Rescores the accumulated corpus exactly as batch steps 4–7
-    /// would, then feeds the sequential rule. No-op until the first
-    /// failing trace arrives (there is nothing to diagnose yet).
+    /// Rescores the accumulated corpus through the same steps 4–7 the
+    /// final render runs, then feeds the sequential rule — so a fold's
+    /// lead is measured on exactly the scores `finish` reports. No-op
+    /// until the first failing trace arrives (there is nothing to
+    /// diagnose yet).
     fn rescore(&mut self, server: &DiagnosisServer<'_>) {
-        let Some(failure) = self.failure.clone() else {
+        let Some(diagnosis) = self.analyze(server) else {
             return;
         };
-        if self.failing.is_empty() {
-            return;
-        }
-        let successes = self.capped_successes(server.config());
-        let scores = score_stream(server, &failure, &self.failing, &successes);
-        let n = self.failing.len() + successes.len();
-        let tied = top_pattern_count(&scores);
+        let scores = &diagnosis.scores;
+        let n = self.failing.len() + self.scored_successes(server.config()).len();
+        let tied = top_pattern_count(scores);
         let (top, lead, tie_margin) = match scores.first().filter(|s| s.f1 > 0.0) {
             Some(t) => {
                 // The runner-up is the first score NOT tied with the
@@ -488,35 +473,34 @@ impl StreamState {
         }
     }
 
-    /// Renders the final diagnosis over the accumulated (capped)
-    /// corpus — the same `finish_diagnosis` the batch path runs, so
-    /// the render is byte-identical to batch over the consumed
-    /// reports.
-    fn finish(&self, server: &DiagnosisServer<'_>) -> Result<StreamingOutcome, DiagnosisError> {
-        let Some(failure) = self.failure.clone() else {
-            return Err(DiagnosisError::EmptyReport);
+    /// Steps 4–7 over the accumulated corpus, its successes capped as
+    /// batch `diagnose` caps them; `None` before the first failing
+    /// trace. Points-to solves from scratch, as `diagnose` does.
+    fn analyze(&self, server: &DiagnosisServer<'_>) -> Option<Diagnosis> {
+        let failure = self.failure.as_ref().filter(|_| !self.failing.is_empty())?;
+        let successes = self.scored_successes(server.config());
+        let times = StageTimes {
+            started: Instant::now(),
+            decode_micros: 0,
         };
-        if self.failing.is_empty() {
-            return Err(DiagnosisError::EmptyReport);
-        }
-        let started = Instant::now();
-        let successes = self.capped_successes(server.config());
-        let executed: HashSet<Pc> = server.executed_union(self.failing.iter().chain(&successes));
-        let pts_started = Instant::now();
-        let pts = PointsTo::analyze_scoped(server.module(), &executed);
-        let points_to_micros = pts_started.elapsed().as_micros();
-        let diagnosis = server.finish_diagnosis(
-            &failure,
-            &self.failing,
-            &successes,
-            &executed,
-            &pts,
-            StageTimes {
-                started,
-                decode_micros: 0,
-                points_to_micros,
-            },
-        );
+        Some(server.analyze(failure, &self.failing, successes, None, times))
+    }
+
+    /// The retained successes a rescore scores, in retention order —
+    /// the streaming analogue of batch `diagnose`'s `success_factor`
+    /// cap.
+    fn scored_successes(&self, cfg: &ServerConfig) -> &[Arc<ProcessedTrace>] {
+        let cap = cfg.success_factor * self.failing.len().max(1);
+        let retained = self.successes.items();
+        &retained[..retained.len().min(cap)]
+    }
+
+    /// Renders the final diagnosis over the accumulated (capped)
+    /// corpus — the same steps 4–7 the batch path runs, so the render
+    /// is byte-identical to batch over the consumed reports.
+    fn finish(&self, server: &DiagnosisServer<'_>) -> Result<StreamingOutcome, DiagnosisError> {
+        let diagnosis = self.analyze(server).ok_or(DiagnosisError::EmptyReport)?;
+        lazy_obs::histogram!("diagnose.analysis_us", diagnosis.stats.analysis_micros);
         Ok(StreamingOutcome {
             diagnosis,
             reports_consumed: self.reports_consumed,
@@ -537,7 +521,7 @@ pub fn event_time_margin(trace: &ProcessedTrace, pattern: &BugPattern) -> f64 {
     let mut times: Vec<u64> = pattern
         .pcs()
         .iter()
-        .filter_map(|pc| trace.instances_of(*pc).iter().map(|i| i.time.lo).max())
+        .filter_map(|pc| trace.last_time(*pc))
         .collect();
     if times.len() < 2 {
         return 0.0;
@@ -563,49 +547,6 @@ fn tie_break_margin(trace: &ProcessedTrace, top: &BugPattern, runner: &BugPatter
         return 0.0;
     }
     (m_runner - m_top) / denom
-}
-
-/// Batch steps 4–7 over an accumulated streaming corpus, returning the
-/// sorted scores. This mirrors `finish_diagnosis` stage for stage
-/// (same points-to scope, candidate truncation, per-trace pattern
-/// generation, sort + dedup, type ranks) so the per-fold lead is
-/// measured on exactly the scores the final diagnosis will report.
-fn score_stream(
-    server: &DiagnosisServer<'_>,
-    failure: &Failure,
-    failing: &[Arc<ProcessedTrace>],
-    successes: &[Arc<ProcessedTrace>],
-) -> Vec<PatternScore> {
-    let module = server.module();
-    let cfg = server.config();
-    let executed: HashSet<Pc> = server.executed_union(failing.iter().chain(successes));
-    let is_deadlock = matches!(
-        failure.kind,
-        FailureKind::Deadlock { .. } | FailureKind::Hang
-    );
-    let pts = PointsTo::analyze_scoped(module, &executed);
-    let mut cands = select_candidates(module, &pts, &executed, failure.pc, is_deadlock);
-    if cands.ranked.len() > cfg.max_candidates {
-        cands.ranked.truncate(cfg.max_candidates);
-    }
-    let ctx = PatternContext::new(module, &pts, &cands);
-    let mut patterns: Vec<BugPattern> = Vec::new();
-    for t in failing {
-        let mut p = if is_deadlock {
-            deadlock_patterns(&ctx, &cands, t)
-        } else {
-            let mut p = crash_patterns(&ctx, &cands, t);
-            p.extend(crate::multivar::multivar_patterns(
-                module, &pts, &executed, failure.pc, t, &cands,
-            ));
-            p
-        };
-        patterns.append(&mut p);
-    }
-    patterns.sort();
-    patterns.dedup();
-    let rank_of: HashMap<Pc, u32> = cands.ranked.iter().map(|r| (r.pc, r.rank)).collect();
-    score_patterns(&patterns, failing, successes, &rank_of)
 }
 
 // ---------------------------------------------------------------------
@@ -743,15 +684,9 @@ pub fn next_stream_session() -> u64 {
     (u64::from(std::process::id()) << 32) ^ n
 }
 
-/// One hub session plus its idle-eviction bookkeeping.
-struct StreamSlot {
-    state: Arc<Mutex<StreamState>>,
-    /// Last client activity (open, submit, or status probe). Sessions
-    /// idle past the hub's TTL are evicted on the next admission or
-    /// sweep, so an abandoned client cannot pin a capacity slot until
-    /// daemon restart.
-    touched: Instant,
-}
+/// Telemetry for stream sessions the idle TTL evicted.
+static STREAM_SESSIONS_EVICTED: lazy_obs::Counter =
+    lazy_obs::Counter::new("stream.sessions_evicted_total");
 
 /// The daemon side of streaming diagnosis: sessions keyed by a
 /// client-chosen id accumulate reports *across connections* and answer
@@ -759,90 +694,47 @@ struct StreamSlot {
 /// shard state), so a session survives its submitting connections.
 pub struct StreamHub<'m> {
     server: DiagnosisServer<'m>,
-    sessions: Mutex<HashMap<u64, StreamSlot>>,
-    session_ttl: std::time::Duration,
-    evicted: AtomicU64,
+    /// Folds run under the per-session mutex, so concurrent sessions
+    /// proceed in parallel while same-session submits serialize.
+    sessions: SessionTable<Arc<Mutex<StreamState>>>,
 }
 
 impl<'m> StreamHub<'m> {
     /// Creates a hub for `module`, pre-warming the walk table so the
     /// first submit does not pay the one-time build cost.
     pub fn new(module: &'m Module, cfg: ServerConfig) -> StreamHub<'m> {
-        let session_ttl = cfg.session_ttl;
         let hub = StreamHub {
+            sessions: SessionTable::new(cfg.session_ttl, &STREAM_SESSIONS_EVICTED),
             server: DiagnosisServer::new(module, cfg),
-            sessions: Mutex::new(HashMap::new()),
-            session_ttl,
-            evicted: AtomicU64::new(0),
         };
         let _ = hub.server.walk_table();
         hub
     }
 
-    fn lock_sessions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, StreamSlot>> {
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Drops every session idle past the TTL, returning how many were
-    /// evicted. A submit already in flight on an evicted session
-    /// finishes against its own `Arc`; the *next* submit reopens a
-    /// fresh session.
-    fn sweep_locked(&self, sessions: &mut HashMap<u64, StreamSlot>) -> usize {
-        let now = Instant::now();
-        let before = sessions.len();
-        sessions.retain(|_, slot| now.duration_since(slot.touched) < self.session_ttl);
-        let evicted = before - sessions.len();
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
-            lazy_obs::counter!("stream.sessions_evicted_total", evicted as u64);
-        }
-        evicted
-    }
-
     /// Evicts sessions idle past the configured TTL (the daemon calls
     /// this from its periodic sweep; admissions sweep on their own).
-    /// Returns how many sessions were evicted.
+    /// A submit already in flight on an evicted session finishes
+    /// against its own `Arc`; the *next* submit reopens a fresh
+    /// session. Returns how many sessions were evicted.
     pub fn sweep_expired(&self) -> usize {
-        let mut sessions = self.lock_sessions();
-        self.sweep_locked(&mut sessions)
+        self.sessions.sweep()
     }
 
     /// Total sessions ever evicted by the idle TTL.
     pub fn sessions_evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.sessions.evicted()
     }
 
     /// Fetches (or opens) `session`, refreshing its idle timestamp.
-    /// The map lock is held only for the lookup; folds run under the
-    /// per-session mutex so concurrent sessions proceed in parallel
-    /// while same-session submits serialize. Admission of a *new*
-    /// session first sweeps expired ones, so abandoned sessions never
-    /// brick the hub.
-    fn session(&self, session: u64, open: bool) -> Result<Arc<Mutex<StreamState>>, DiagnosisError> {
-        let mut sessions = self.lock_sessions();
-        if let Some(slot) = sessions.get_mut(&session) {
-            slot.touched = Instant::now();
-            return Ok(Arc::clone(&slot.state));
-        }
-        if !open {
-            return Err(unknown_session(session));
-        }
-        self.sweep_locked(&mut sessions);
-        if sessions.len() >= MAX_STREAM_SESSIONS {
-            return Err(DiagnosisError::Remote {
-                detail: format!("stream hub at capacity: {MAX_STREAM_SESSIONS} open sessions"),
-            });
-        }
-        let state = Arc::new(Mutex::new(StreamState::new(self.server.config())));
-        sessions.insert(
-            session,
-            StreamSlot {
-                state: Arc::clone(&state),
-                touched: Instant::now(),
-            },
-        );
-        lazy_obs::counter!("stream.sessions_total", 1u64);
-        Ok(state)
+    fn open(&self, session: u64) -> Result<Arc<Mutex<StreamState>>, DiagnosisError> {
+        self.sessions
+            .get_or_insert_with(session, || {
+                lazy_obs::counter!("stream.sessions_total", 1u64);
+                Arc::new(Mutex::new(StreamState::new(self.server.config())))
+            })
+            .map_err(|AtCapacity| DiagnosisError::Remote {
+                detail: format!("stream hub at capacity: {MAX_SESSIONS} open sessions"),
+            })
     }
 
     /// Submits one failing report to `session` (opening it on first
@@ -859,7 +751,7 @@ impl<'m> StreamHub<'m> {
         failure: &Failure,
         snap: &SnapshotView<'_>,
     ) -> Result<StreamStatus, DiagnosisError> {
-        let state = self.session(session, true)?;
+        let state = self.open(session)?;
         let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
         state.fold_failing(&self.server, failure, snap)?;
         Ok(state.status())
@@ -877,7 +769,7 @@ impl<'m> StreamHub<'m> {
         session: u64,
         snap: &SnapshotView<'_>,
     ) -> Result<StreamStatus, DiagnosisError> {
-        let state = self.session(session, true)?;
+        let state = self.open(session)?;
         let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
         state.fold_success(&self.server, snap);
         Ok(state.status())
@@ -889,7 +781,10 @@ impl<'m> StreamHub<'m> {
     ///
     /// [`DiagnosisError::Remote`] when the session was never opened.
     pub fn status(&self, session: u64) -> Result<StreamStatus, DiagnosisError> {
-        let state = self.session(session, false)?;
+        let state = self
+            .sessions
+            .with(session, |s| Arc::clone(s))
+            .ok_or_else(|| unknown_session(session))?;
         let state = state.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(state.status())
     }
@@ -903,11 +798,11 @@ impl<'m> StreamHub<'m> {
     /// [`DiagnosisError::EmptyReport`] when it never received a
     /// decodable failing report (the session closes either way).
     pub fn finish(&self, session: u64) -> Result<(StreamingOutcome, String), DiagnosisError> {
-        let slot = self
-            .lock_sessions()
-            .remove(&session)
+        let state = self
+            .sessions
+            .remove(session)
             .ok_or_else(|| unknown_session(session))?;
-        let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = state.lock().unwrap_or_else(PoisonError::into_inner);
         let outcome = state.finish(&self.server)?;
         let report = outcome.diagnosis.render(self.server.module());
         Ok((outcome, report))
@@ -915,7 +810,7 @@ impl<'m> StreamHub<'m> {
 
     /// Sessions currently open (abandoned clients show up here).
     pub fn open_sessions(&self) -> usize {
-        self.lock_sessions().len()
+        self.sessions.len()
     }
 }
 
@@ -1163,6 +1058,7 @@ pub fn decode_stream_finish_reply(payload: &[u8]) -> Result<StreamFinishReply, F
 mod tests {
     use super::*;
     use crate::patterns::{AccessKind, PatternEvent};
+    use lazy_ir::Pc;
 
     fn pattern(pc: u64) -> BugPattern {
         BugPattern::OrderViolation {

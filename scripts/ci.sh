@@ -25,8 +25,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "==> cargo build --release"
-cargo build --release
+# The workspace, not just the root package (its sole default member):
+# the daemon, fleet and routing smokes below run ./target/release/snorlax.
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test (workspace)"
 cargo test -q --workspace

@@ -1,8 +1,8 @@
 //! Fleet-sharding determinism suite.
 //!
-//! The contract under test: a [`FleetCoordinator`] that routes one
-//! failure report across N shards — in-process or over real loopback
-//! TCP — renders a diagnosis **byte-identical** to a single
+//! The contract under test: a [`FleetRouter`] that routes one failure
+//! report across N shards — in-process or over real loopback TCP —
+//! renders a diagnosis **byte-identical** to a single
 //! [`DiagnosisServer`] fed the same report, for every bug in the
 //! corpus and for awkward shard counts (2, 3, 7 — most shards see
 //! zero failing traces). On top of determinism, the degradation
@@ -10,7 +10,8 @@
 //! the survivors' result equals single-node over the surviving
 //! partition; a Corruptor-mangled `PartialStats` frame in round 3
 //! surfaces as a typed [`DiagnosisError::Frame`] in that shard's
-//! report while the coordinator still diagnoses from the survivors.
+//! report while the router still diagnoses from the survivors, and so
+//! do partial statistics no shard could have produced.
 
 mod util;
 
@@ -18,28 +19,28 @@ use lazy_diagnosis::ir::Module;
 use lazy_diagnosis::snorlax::daemon::{encode_frame, read_frame, serve, DaemonConfig, FrameKind};
 use lazy_diagnosis::snorlax::fleet::{
     decode_fleet_collect, decode_fleet_finalize, decode_fleet_patterns, encode_collect_reply,
-    encode_finalize_reply, encode_patterns_reply,
+    encode_finalize_reply, encode_patterns_reply, FinalizeReply,
 };
+use lazy_diagnosis::snorlax::statistics::PatternCounts;
 use lazy_diagnosis::snorlax::{
-    BugKey, CollectionClient, CollectionOutcome, DiagnosisError, DiagnosisServer, FleetCoordinator,
-    FleetReport, FleetRouter, FleetShard, RemoteClient, ServerConfig, ShardConn, ShardStats,
+    BugKey, CollectionClient, CollectionOutcome, DiagnosisError, DiagnosisServer, FleetOutcome,
+    FleetReport, FleetRouter, FleetShard, PatternStats, RemoteClient, ServerConfig, ShardConn,
+    ShardStats,
 };
-use lazy_diagnosis::trace::{CorruptionOp, Corruptor, TraceSnapshot};
-use lazy_diagnosis::vm::{Failure, VmConfig};
+use lazy_diagnosis::trace::{CorruptionOp, Corruptor};
+use lazy_diagnosis::vm::VmConfig;
 use lazy_diagnosis::workloads::BugScenario;
 use lazy_workloads::{all_scenarios, systems::eval_scenarios};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Barrier;
 use std::thread::JoinHandle;
 use util::DaemonGuard;
 
 /// One multi-trace failure report: `reports` independent collections
 /// of the same bug folded into a single (failure, failing, successful)
 /// triple, so shard routing has more than one failing trace to split.
-fn combined_report(
-    s: &BugScenario,
-    reports: usize,
-) -> (Failure, Vec<TraceSnapshot>, Vec<TraceSnapshot>) {
+fn combined_report(s: &BugScenario, reports: usize) -> FleetReport {
     let server = DiagnosisServer::new(&s.module, ServerConfig::default());
     let client = CollectionClient::new(&server, VmConfig::default());
     let mut failure = None;
@@ -57,20 +58,26 @@ fn combined_report(
         successful.extend(col.successful);
         collected += 1;
     }
-    (failure.unwrap(), failing, successful)
+    FleetReport {
+        failure: failure.unwrap(),
+        failing,
+        successful,
+    }
 }
 
-fn single_node_render(
-    s: &BugScenario,
-    failure: &Failure,
-    failing: &[TraceSnapshot],
-    successful: &[TraceSnapshot],
-) -> String {
+fn single_node_render(s: &BugScenario, r: &FleetReport) -> String {
     let server = DiagnosisServer::new(&s.module, ServerConfig::default());
     server
-        .diagnose(failure, failing, successful)
+        .diagnose(&r.failure, &r.failing, &r.successful)
         .unwrap_or_else(|e| panic!("{}: single-node diagnosis failed: {e}", s.id))
         .render(&s.module)
+}
+
+/// Routes `report` through a fresh one-report router over `shards`.
+fn route_once(s: &BugScenario, shards: Vec<ShardConn<'_>>, report: &FleetReport) -> FleetOutcome {
+    FleetRouter::new(&s.module, ServerConfig::default(), shards)
+        .route(report)
+        .unwrap_or_else(|e| panic!("{}: fleet diagnosis failed: {e}", s.id))
 }
 
 /// The determinism kernel shared by the default and slow corpus
@@ -78,13 +85,11 @@ fn single_node_render(
 /// in-process shards must render byte-identical to single-node.
 fn assert_sharded_matches_single_node(scenarios: Vec<BugScenario>) {
     for s in scenarios {
-        let (failure, failing, successful) = combined_report(&s, 2);
-        let expected = single_node_render(&s, &failure, &failing, &successful);
+        let report = combined_report(&s, 2);
+        let expected = single_node_render(&s, &report);
         for shards in [2usize, 3, 7] {
-            let mut coord =
-                FleetCoordinator::in_process(&s.module, ServerConfig::default(), shards);
-            let outcome = coord
-                .diagnose(&failure, &failing, &successful)
+            let outcome = FleetRouter::in_process(&s.module, ServerConfig::default(), shards)
+                .route(&report)
                 .unwrap_or_else(|e| panic!("{} @ {shards} shards: fleet failed: {e}", s.id));
             assert_eq!(
                 outcome.failed_shards(),
@@ -100,7 +105,7 @@ fn assert_sharded_matches_single_node(scenarios: Vec<BugScenario>) {
             );
             assert_eq!(
                 outcome.merged_stats.failing_traces(),
-                failing.len(),
+                report.failing.len(),
                 "{} @ {shards} shards: merged stats must cover every failing trace",
                 s.id
             );
@@ -143,8 +148,8 @@ fn spawn_shard_daemon(module: Module) -> (SocketAddr, DaemonGuard<()>) {
 #[test]
 fn loopback_tcp_shards_are_byte_identical() {
     let s = eval_scenarios().into_iter().next().unwrap();
-    let (failure, failing, successful) = combined_report(&s, 2);
-    let expected = single_node_render(&s, &failure, &failing, &successful);
+    let report = combined_report(&s, 2);
+    let expected = single_node_render(&s, &report);
 
     let (addr_a, handle_a) = spawn_shard_daemon(s.module.clone());
     let (addr_b, handle_b) = spawn_shard_daemon(s.module.clone());
@@ -152,15 +157,15 @@ fn loopback_tcp_shards_are_byte_identical() {
         ShardConn::Remote(RemoteClient::connect(addr_a).unwrap()),
         ShardConn::Remote(RemoteClient::connect(addr_b).unwrap()),
     ];
-    let mut coord = FleetCoordinator::new(&s.module, ServerConfig::default(), shards);
-    let outcome = coord.diagnose(&failure, &failing, &successful).unwrap();
+    // The router (and with it the shard connections) is dropped before
+    // the daemons drain.
+    let outcome = route_once(&s, shards, &report);
     assert_eq!(outcome.failed_shards(), 0, "clean shards must not fail");
     assert_eq!(
         outcome.diagnosis.render(&s.module),
         expected,
         "TCP-sharded render diverged from single-node"
     );
-    drop(coord); // close the shard connections before draining
 
     for addr in [addr_a, addr_b] {
         let mut probe = RemoteClient::connect(addr).unwrap();
@@ -208,23 +213,25 @@ fn spawn_garbage_shard() -> (SocketAddr, JoinHandle<()>) {
 #[test]
 fn round1_failure_excludes_shard_and_matches_survivor_partition() {
     let s = eval_scenarios().into_iter().next().unwrap();
-    let (failure, failing, successful) = combined_report(&s, 2);
+    let report = combined_report(&s, 2);
 
-    // Replicate the coordinator's routing: global cap, then
-    // round-robin — shard 0 (the survivor) gets every even index.
-    let cap = ServerConfig::default().success_factor * failing.len().max(1);
-    let capped = &successful[..successful.len().min(cap)];
-    let survivor_failing: Vec<TraceSnapshot> = failing.iter().step_by(2).cloned().collect();
-    let survivor_successful: Vec<TraceSnapshot> = capped.iter().step_by(2).cloned().collect();
-    let expected = single_node_render(&s, &failure, &survivor_failing, &survivor_successful);
+    // Replicate the router's partition: global cap, then round-robin —
+    // shard 0 (the survivor) gets every even index.
+    let cap = ServerConfig::default().success_factor * report.failing.len().max(1);
+    let capped = &report.successful[..report.successful.len().min(cap)];
+    let survivor = FleetReport {
+        failure: report.failure.clone(),
+        failing: report.failing.iter().step_by(2).cloned().collect(),
+        successful: capped.iter().step_by(2).cloned().collect(),
+    };
+    let expected = single_node_render(&s, &survivor);
 
     let (addr, handle) = spawn_garbage_shard();
     let shards = vec![
         ShardConn::local(&s.module, ServerConfig::default()),
         ShardConn::Remote(RemoteClient::connect(addr).unwrap()),
     ];
-    let mut coord = FleetCoordinator::new(&s.module, ServerConfig::default(), shards);
-    let outcome = coord.diagnose(&failure, &failing, &successful).unwrap();
+    let outcome = route_once(&s, shards, &report);
 
     assert_eq!(outcome.failed_shards(), 1, "exactly the garbage shard");
     let bad = &outcome.shard_reports[1];
@@ -237,14 +244,16 @@ fn round1_failure_excludes_shard_and_matches_survivor_partition() {
         expected,
         "degraded render must equal single-node over the survivor partition"
     );
-    drop(coord);
     handle.join().unwrap();
 }
 
 /// A protocol-fluent shard that answers rounds 1 and 2 honestly (via a
-/// real in-process [`FleetShard`]) and then Corruptor-mangles its
-/// round-3 `PartialStats` frame.
-fn spawn_evil_finalize_shard(module: Module) -> (SocketAddr, JoinHandle<()>) {
+/// real in-process [`FleetShard`]) and then answers round 3 with the
+/// `PartialStats` frame `evil` makes of its honest reply.
+fn spawn_evil_finalize_shard(
+    module: Module,
+    evil: fn(FinalizeReply) -> Vec<u8>,
+) -> (SocketAddr, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let handle = std::thread::spawn(move || {
@@ -271,17 +280,7 @@ fn spawn_evil_finalize_shard(module: Module) -> (SocketAddr, JoinHandle<()>) {
                 }
                 FrameKind::FleetFinalize => {
                     let (session, patterns) = decode_fleet_finalize(&payload).unwrap();
-                    let r = shard.finalize(session, &patterns).unwrap();
-                    let frame = encode_frame(FrameKind::PartialStats, &encode_finalize_reply(&r));
-                    // Flip a payload bit: the frame checksum catches it
-                    // on the coordinator side as a typed Frame error.
-                    Corruptor::new().apply(
-                        &frame,
-                        &CorruptionOp::BitFlip {
-                            offset: frame.len() / 2,
-                            bit: 3,
-                        },
-                    )
+                    evil(shard.finalize(session, &patterns).unwrap())
                 }
                 _ => return,
             };
@@ -293,43 +292,96 @@ fn spawn_evil_finalize_shard(module: Module) -> (SocketAddr, JoinHandle<()>) {
     (addr, handle)
 }
 
-/// Round-3 degradation (the satellite's fault-injection contract): a
-/// mangled `PartialStats` frame draws `DiagnosisError::Frame` into
-/// that shard's report, and the coordinator still produces a root
-/// cause from the surviving shard's statistics.
-#[test]
-fn corrupt_partial_stats_frame_is_typed_and_diagnosis_degrades() {
+/// Routes a two-collection report over one honest local shard and one
+/// evil-finalize shard; the evil shard must fail round 3 alone, and the
+/// honest survivor — which holds the globally-first failing trace —
+/// must still name the bug's root cause.
+fn route_past_evil_finalize(evil: fn(FinalizeReply) -> Vec<u8>) -> DiagnosisError {
     let s = eval_scenarios().into_iter().next().unwrap();
-    let (failure, failing, successful) = combined_report(&s, 2);
-
-    let (addr, handle) = spawn_evil_finalize_shard(s.module.clone());
+    let report = combined_report(&s, 2);
+    let (addr, handle) = spawn_evil_finalize_shard(s.module.clone(), evil);
     let shards = vec![
         ShardConn::local(&s.module, ServerConfig::default()),
         ShardConn::Remote(RemoteClient::connect(addr).unwrap()),
     ];
-    let mut coord = FleetCoordinator::new(&s.module, ServerConfig::default(), shards);
-    let outcome = coord.diagnose(&failure, &failing, &successful).unwrap();
+    let outcome = route_once(&s, shards, &report);
+    handle.join().unwrap();
 
-    assert_eq!(outcome.failed_shards(), 1, "exactly the mangling shard");
-    let bad = &outcome.shard_reports[1];
-    match &bad.error {
-        Some(("finalize", DiagnosisError::Frame(_))) => {}
-        other => panic!("expected a round-3 typed frame error, got {other:?}"),
-    }
-    // The survivor holds the globally-first failing trace, so the
-    // degraded diagnosis still names a root cause.
+    assert_eq!(outcome.failed_shards(), 1, "exactly the evil shard");
+    let (round, err) = outcome.shard_reports[1]
+        .error
+        .clone()
+        .expect("the evil shard is in shard_reports");
+    assert_eq!(round, "finalize", "the evil shard fails round 3: {err}");
     let rendered = outcome.diagnosis.render(&s.module);
+    let top = outcome
+        .diagnosis
+        .root_cause()
+        .unwrap_or_else(|| panic!("degraded diagnosis still names a root cause:\n{rendered}"));
     assert!(
-        rendered.contains("root cause"),
-        "degraded diagnosis still renders a root cause:\n{rendered}"
+        top.pattern.pcs().iter().all(|pc| s.targets.contains(pc)),
+        "the root cause is the bug's own:\n{rendered}"
     );
     assert_eq!(
         outcome.merged_stats.failing_traces(),
         outcome.shard_reports[0].failing_routed,
         "merged statistics cover exactly the surviving shard's traces"
     );
-    drop(coord);
-    handle.join().unwrap();
+    err
+}
+
+/// Round-3 degradation (the fault-injection contract): a mangled
+/// `PartialStats` frame draws `DiagnosisError::Frame` into that shard's
+/// report, and the router still diagnoses from the surviving shard's
+/// statistics.
+#[test]
+fn corrupt_partial_stats_frame_is_typed_and_diagnosis_degrades() {
+    let err = route_past_evil_finalize(|r| {
+        let frame = encode_frame(FrameKind::PartialStats, &encode_finalize_reply(&r));
+        // Flip a payload bit: the frame checksum catches it on the
+        // router side as a typed Frame error.
+        Corruptor::new().apply(
+            &frame,
+            &CorruptionOp::BitFlip {
+                offset: frame.len() / 2,
+                bit: 3,
+            },
+        )
+    });
+    assert!(matches!(err, DiagnosisError::Frame(_)), "typed: {err:?}");
+}
+
+/// Well-formed `PartialStats` that no shard can produce are rejected
+/// too: a support above the shard's trace total fails the decoder, and
+/// trace totals other than the shard's round-1 counts (here `u64::MAX`,
+/// which would overflow the merge) fail the router's cross-check.
+/// Either way the shard is excluded like any failed round.
+#[test]
+fn partial_stats_no_shard_can_produce_are_rejected() {
+    let err = route_past_evil_finalize(|r| {
+        let total = r.stats.failing_traces();
+        let mut entries: Vec<(_, PatternCounts)> =
+            r.stats.entries().map(|(p, c)| (p.clone(), *c)).collect();
+        entries[0].1.fail_support = total + 4;
+        let stats = PatternStats::from_parts(entries, total, r.stats.successful_traces());
+        let forged = FinalizeReply { stats, ..r };
+        encode_frame(FrameKind::PartialStats, &encode_finalize_reply(&forged))
+    });
+    assert!(
+        matches!(err, DiagnosisError::Frame(_)),
+        "an inflated support is a typed frame error: {err:?}"
+    );
+
+    let err = route_past_evil_finalize(|r| {
+        let entries = r.stats.entries().map(|(p, c)| (p.clone(), *c)).collect();
+        let stats = PatternStats::from_parts(entries, usize::MAX, usize::MAX);
+        let forged = FinalizeReply { stats, ..r };
+        encode_frame(FrameKind::PartialStats, &encode_finalize_reply(&forged))
+    });
+    assert!(
+        matches!(err, DiagnosisError::Fleet { .. }),
+        "totals unlike round 1's are rejected: {err:?}"
+    );
 }
 
 /// `k` independent endpoint reports of the same bug: one collection
@@ -365,10 +417,7 @@ fn fleet_reports(s: &BugScenario, k: usize) -> Vec<FleetReport> {
 fn concurrent_routing_is_byte_identical_and_warms_caches() {
     let s = eval_scenarios().into_iter().next().unwrap();
     let reports = fleet_reports(&s, 4);
-    let expected: Vec<String> = reports
-        .iter()
-        .map(|r| single_node_render(&s, &r.failure, &r.failing, &r.successful))
-        .collect();
+    let expected: Vec<String> = reports.iter().map(|r| single_node_render(&s, r)).collect();
 
     for shards in [2usize, 3] {
         let router = FleetRouter::in_process(&s.module, ServerConfig::default(), shards);
@@ -451,10 +500,7 @@ fn concurrent_routing_is_byte_identical_and_warms_caches() {
 fn corrupt_report_fails_alone_while_siblings_stay_clean() {
     let s = eval_scenarios().into_iter().next().unwrap();
     let mut reports = fleet_reports(&s, 3);
-    let expected: Vec<String> = reports
-        .iter()
-        .map(|r| single_node_render(&s, &r.failure, &r.failing, &r.successful))
-        .collect();
+    let expected: Vec<String> = reports.iter().map(|r| single_node_render(&s, r)).collect();
 
     // Mangle the middle report so no thread decodes, with one corrupt
     // failing trace per shard (round-robin puts one on each): every
@@ -507,19 +553,19 @@ fn corrupt_report_fails_alone_while_siblings_stay_clean() {
 #[test]
 fn shard_capacity_recovers_after_session_ttl() {
     let s = eval_scenarios().into_iter().next().unwrap();
-    let (failure, failing, _) = combined_report(&s, 1);
-    let failing = &failing[..1]; // one trace per session keeps the fill cheap
+    let report = combined_report(&s, 1);
+    let (failure, failing) = (&report.failure, &report.failing[..1]); // one trace keeps the fill cheap
 
     // Default TTL (minutes): 64 abandoned round-1 sessions exhaust the
     // shard, and the 65th open is refused with a typed error.
     let shard = FleetShard::new(&s.module, ServerConfig::default());
     for session in 1..=64u64 {
         shard
-            .collect(session, &failure, failing, &[])
+            .collect(session, failure, failing, &[])
             .unwrap_or_else(|e| panic!("session {session} admits below capacity: {e}"));
     }
     assert_eq!(shard.open_sessions(), 64);
-    let err = shard.collect(65, &failure, failing, &[]).unwrap_err();
+    let err = shard.collect(65, failure, failing, &[]).unwrap_err();
     assert!(
         err.to_string().contains("at capacity"),
         "the 65th session is refused while all slots are live: {err}"
@@ -537,7 +583,7 @@ fn shard_capacity_recovers_after_session_ttl() {
     let shard = FleetShard::new(&s.module, tiny);
     for session in 1..=64u64 {
         shard
-            .collect(session, &failure, failing, &[])
+            .collect(session, failure, failing, &[])
             .unwrap_or_else(|e| panic!("session {session} admits (sweeps reclaim idle): {e}"));
     }
     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -550,6 +596,42 @@ fn shard_capacity_recovers_after_session_ttl() {
     );
     assert_eq!(stats.open_sessions, 0, "the sweep leaves no idle session");
     shard
-        .collect(65, &failure, failing, &[])
+        .collect(65, failure, failing, &[])
         .expect("capacity recovered: a new session admits after the TTL");
+}
+
+/// The shard admission race: round-1 collects of new sessions arriving
+/// concurrently on a multi-worker daemon must not overshoot the
+/// 64-session cap. With 63 sessions open, 8 racing collects leave at
+/// most 64 open, and exactly one of them is admitted.
+#[test]
+fn concurrent_collects_cannot_overshoot_shard_capacity() {
+    let s = eval_scenarios().into_iter().next().unwrap();
+    let report = combined_report(&s, 1);
+    let (failure, failing) = (&report.failure, &report.failing[..1]);
+    let shard = FleetShard::new(&s.module, ServerConfig::default());
+    for session in 1..=63u64 {
+        shard.collect(session, failure, failing, &[]).unwrap();
+    }
+    let racers = 8u64;
+    let gate = Barrier::new(racers as usize);
+    let admitted: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..racers)
+            .map(|k| {
+                let (shard, gate) = (&shard, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    usize::from(shard.collect(100 + k, failure, failing, &[]).is_ok())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert!(
+        shard.open_sessions() <= 64,
+        "{} sessions open past the cap",
+        shard.open_sessions()
+    );
+    assert_eq!(admitted, 1, "exactly one racer takes the last slot");
+    assert_eq!(shard.open_sessions(), 64);
 }

@@ -10,7 +10,8 @@
 #![cfg(feature = "telemetry")]
 
 use lazy_diagnosis::snorlax::{
-    BatchConfig, BatchJob, CollectionClient, CollectionOutcome, DiagnosisServer, ServerConfig,
+    interleave_reports, BatchConfig, BatchJob, CollectionClient, CollectionOutcome,
+    DiagnosisServer, ServerConfig, StreamingDiagnoser,
 };
 use lazy_diagnosis::vm::VmConfig;
 
@@ -103,6 +104,49 @@ fn telemetry_reconciles_with_pipeline_stats() {
         unexplained(inner, snapshot) <= STAGE_TOLERANCE,
         "decode.stream + process.aggregate explain {inner} of {snapshot} ns of \
          decode.snapshot, beyond {STAGE_TOLERANCE}"
+    );
+
+    // --- stream fold reconciliation --------------------------------
+    // A fold decodes its report and rescores the retained corpus
+    // through the same staged steps 4–7 as `diagnose`, so the same
+    // stage spans must account for `stream.fold` — and a fold is not a
+    // diagnosis: it records neither `diagnose.job` nor the per-job
+    // analysis histogram.
+    let c = &collections[0];
+    let reports = interleave_reports(&c.failing, &c.successful);
+    let mut stream = StreamingDiagnoser::new(&single, &c.failure);
+    let before = lazy_obs::snapshot();
+    for report in &reports {
+        stream.fold(report).expect("corpus reports decode");
+    }
+    let window = lazy_obs::snapshot().since(&before);
+    let total = |name: &str| window.span(name).map_or(0, |s| s.total_ns) as f64;
+    assert_eq!(
+        window.span("stream.fold").map(|s| s.count),
+        Some(reports.len() as u64)
+    );
+    let fold = total("stream.fold");
+    let stages: f64 = [
+        "decode.snapshot",
+        "pointsto.solve",
+        "rank.candidates",
+        "patterns.compute",
+        "stats.score",
+    ]
+    .iter()
+    .map(|name| total(name))
+    .sum();
+    assert!(
+        unexplained(stages, fold) <= STAGE_TOLERANCE,
+        "stage spans explain {stages} of {fold} ns of stream.fold, beyond {STAGE_TOLERANCE}"
+    );
+    assert_eq!(window.span("diagnose.job").map_or(0, |s| s.count), 0);
+    assert_eq!(
+        window
+            .histogram("diagnose.analysis_us")
+            .map_or(0, |h| h.count),
+        0,
+        "folds record no per-diagnosis analysis latency"
     );
 
     // A single-job batch first: with one job the cross-job memo has
