@@ -17,7 +17,7 @@
 //! * **steady state** — the server's serving-loop regime: the
 //!   per-module [`WalkTable`] already built (the cross-job cache), and
 //!   the event-buffer pool primed because every consumed trace was
-//!   recycled ([`recycle_events`]), exactly as `process_snapshot_par`
+//!   recycled ([`recycle_events`]), exactly as `process_snapshot_view`
 //!   does after aggregating each thread's events.
 //!
 //! Measurements per round:
@@ -32,7 +32,7 @@
 //!   passes in steady state, adjacent so their ratio isolates the walk
 //!   table itself from buffer reuse;
 //! * **sharded adaptive** — the production path: thread streams fanned
-//!   across a scoped worker pool exactly as `process_snapshot_par`
+//!   out on `lazy_trace::fan_out` exactly as `process_snapshot_view`
 //!   does, each stream routed by `decode_thread_trace_adaptive`
 //!   (fused for small inputs and lone cores, PSB-sharded otherwise);
 //! * **sharded forced** — adaptive with a shard target small enough
@@ -82,11 +82,9 @@ use lazy_snorlax::processing::process_snapshot_view;
 use lazy_snorlax::ServerConfig;
 use lazy_trace::{
     decode_thread_trace, decode_thread_trace_adaptive, decode_thread_trace_compiled,
-    decode_thread_trace_legacy, drain_event_pool, recycle_events, DecodedTrace, ExecIndex,
+    decode_thread_trace_legacy, drain_event_pool, fan_out, recycle_events, DecodedTrace, ExecIndex,
     SnapshotView, TraceConfig, TraceSnapshot, WalkTable,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Parity tolerance for the `one_core` gate. On one core the adaptive
@@ -115,9 +113,10 @@ fn opt_str(args: &[String], flag: &str, default: &str) -> String {
 }
 
 /// Decodes all thread streams under the outer/inner worker split the
-/// server's `process_snapshot_par` uses: `outer` workers pull whole
-/// streams off a shared index, each routing its stream adaptively
-/// across the `inner` budget.
+/// server's `process_snapshot_view` uses: whole streams fan out across
+/// `outer` workers (the caller is one of them, and a lone core never
+/// spawns), each routing its stream adaptively across the `inner`
+/// budget.
 fn decode_parallel(
     index: &ExecIndex,
     table: Option<&WalkTable>,
@@ -128,37 +127,15 @@ fn decode_parallel(
 ) -> Vec<DecodedTrace> {
     let outer = cores.clamp(1, streams.len().max(1));
     let inner = (cores / outer).max(min_inner).max(1);
-    if outer <= 1 {
-        // One worker: decode in place, as `process_snapshot_par` does —
-        // a lone core never pays thread-scope setup.
-        return streams
-            .iter()
-            .map(|(bytes, taken_at)| {
-                decode_thread_trace_adaptive(index, table, cfg, bytes, *taken_at, inner)
-                    .expect("synthetic stream decodes")
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<DecodedTrace>>> =
-        streams.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..outer {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bytes, taken_at)) = streams.get(i) else {
-                    break;
-                };
-                let t = decode_thread_trace_adaptive(index, table, cfg, bytes, *taken_at, inner)
-                    .expect("synthetic stream decodes");
-                *slots[i].lock().expect("slot") = Some(t);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot lock").expect("stream decoded"))
-        .collect()
+    fan_out(streams, outer, |(bytes, taken_at)| {
+        decode_thread_trace_adaptive(index, table, cfg, bytes, *taken_at, inner)
+    })
+    .into_iter()
+    .map(|r| {
+        r.expect("decode worker panicked")
+            .expect("synthetic stream decodes")
+    })
+    .collect()
 }
 
 /// Compares against the legacy reference, then recycles the decoded

@@ -6,9 +6,10 @@
 //! adds a batch front end to [`DiagnosisServer`] that
 //!
 //! 1. fans the per-job pipeline — snapshot decode + trace processing,
-//!    scoped points-to, pattern computation and scoring — across a
-//!    scoped worker pool (`std::thread::scope`; the VM stays
-//!    single-threaded, only the server parallelizes), and
+//!    scoped points-to, pattern computation and scoring — across
+//!    worker threads with [`lazy_trace::fan_out`] (the calling thread
+//!    is one of them; the VM stays single-threaded, only the server
+//!    parallelizes), and
 //! 2. shares one [`PointsToCache`] across all jobs, so snapshots with
 //!    identical executed sets hit a solved fixpoint outright and
 //!    superset scopes are solved by replaying only their delta.
@@ -25,11 +26,8 @@ use crate::error::DiagnosisError;
 use crate::server::{DiagnosisServer, SharedCache, SnapshotMemo};
 use crate::Diagnosis;
 use lazy_analysis::{CacheStats, PointsToCache};
-use lazy_trace::{SnapshotView, TraceSnapshot};
+use lazy_trace::{fan_out, resolve_workers, SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One diagnosis request: a failure with its collected snapshots.
@@ -82,9 +80,7 @@ impl Default for BatchConfig {
 
 impl BatchConfig {
     fn resolved_workers(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let w = if self.workers == 0 { hw } else { self.workers };
-        w.clamp(1, jobs.max(1))
+        resolve_workers(self.workers).clamp(1, jobs.max(1))
     }
 }
 
@@ -93,7 +89,8 @@ impl BatchConfig {
 pub struct BatchStats {
     /// Jobs in the batch.
     pub jobs: usize,
-    /// Worker threads actually spawned.
+    /// Threads that ran jobs, the calling thread included (the fan-out
+    /// spawns one fewer).
     pub workers: usize,
     /// Batch wall time, microseconds.
     pub wall_micros: u128,
@@ -169,38 +166,14 @@ impl<'m> DiagnosisServer<'m> {
         // Jobs of one batch typically share success corpora; the memo
         // processes each distinct snapshot once across the whole batch.
         let memo = SnapshotMemo::new();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Diagnosis, DiagnosisError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    // catch_unwind per job is what makes degradation
-                    // *graceful*: a panicking job records a typed error
-                    // in its own slot instead of unwinding through the
-                    // scope and aborting every other job in the batch.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        self.run_job(job, cache.as_ref(), &memo)
-                    }))
-                    .unwrap_or_else(|p| Err(DiagnosisError::from_panic("diagnose", p)));
-                    // A poisoned slot still holds a well-formed Option;
-                    // recover the guard rather than abandoning the job.
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-
-        let diagnoses: Vec<Result<Diagnosis, DiagnosisError>> = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or_else(|| Err(DiagnosisError::worker_lost("diagnose")))
-            })
-            .collect();
+        // A panicking job records a typed error at its own index instead
+        // of unwinding through the fan-out and aborting its siblings.
+        let diagnoses: Vec<Result<Diagnosis, DiagnosisError>> = fan_out(jobs, workers, |job| {
+            self.run_job(job, cache.as_ref(), &memo)
+        })
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("diagnose", p))))
+        .collect();
         let cache_stats = cache
             .as_ref()
             .map_or(CacheStats::default(), SharedCache::stats);

@@ -62,7 +62,8 @@ use crate::streaming::{
 use lazy_ir::{Module, Pc};
 use lazy_trace::wire::{fnv1a32, fnv1a32_with};
 use lazy_trace::{
-    decode_snapshot, decode_snapshot_view, encode_snapshot, SnapshotView, TraceSnapshot,
+    decode_snapshot, decode_snapshot_view, encode_snapshot, resolve_workers, SnapshotView,
+    TraceSnapshot,
 };
 use lazy_vm::{DeadlockParty, Failure, FailureKind};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -521,14 +522,28 @@ pub struct DiagnoseRequest {
     pub successful: Vec<TraceSnapshot>,
 }
 
+/// A bounds-checked reader over one request or reply payload: every
+/// read returns a typed [`FrameError`] instead of running past the end.
 pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
+    bytes: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, pos: 0 }
+    }
+
     pub(crate) fn remaining(&self) -> usize {
         self.bytes.len().saturating_sub(self.pos)
+    }
+
+    /// A payload must end where its last field does.
+    pub(crate) fn done(&self) -> Result<(), FrameError> {
+        if self.remaining() != 0 {
+            return Err(FrameError::BadPayload("trailing bytes"));
+        }
+        Ok(())
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
@@ -557,6 +572,14 @@ impl<'a> Cursor<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
+}
+
+pub(crate) fn push_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn kind_code(kind: &FailureKind) -> (u8, u64) {
@@ -732,25 +755,15 @@ pub(crate) fn decode_diagnose_view_cursor<'a>(
 pub fn decode_diagnose_request_view(
     payload: &[u8],
 ) -> Result<DiagnoseRequestView<'_>, DiagnosisError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let req = decode_diagnose_view_cursor(&mut c)?;
-    if c.remaining() != 0 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload(
-            "trailing bytes",
-        )));
-    }
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok(req)
 }
 
 /// Decodes a [`FrameKind::Batch`] payload without copying trace bytes.
 pub fn decode_batch_request_views(payload: &[u8]) -> Result<Vec<BatchJobView<'_>>, DiagnosisError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let n = c.u32().map_err(DiagnosisError::Frame)? as usize;
     if n > c.remaining() / 4 {
         return Err(DiagnosisError::Frame(FrameError::BadPayload("job count")));
@@ -766,11 +779,7 @@ pub fn decode_batch_request_views(payload: &[u8]) -> Result<Vec<BatchJobView<'_>
             successful: req.successful,
         });
     }
-    if c.remaining() != 0 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload(
-            "trailing bytes",
-        )));
-    }
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok(jobs)
 }
 
@@ -789,16 +798,9 @@ pub fn encode_diagnose_request(
 
 /// Decodes a [`FrameKind::Diagnose`] request payload.
 pub fn decode_diagnose_request(payload: &[u8]) -> Result<DiagnoseRequest, DiagnosisError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let req = decode_diagnose_cursor(&mut c)?;
-    if c.remaining() != 0 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload(
-            "trailing bytes",
-        )));
-    }
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok(req)
 }
 
@@ -827,10 +829,7 @@ pub fn encode_batch_request(jobs: &[BatchJob<'_>]) -> Vec<u8> {
 
 /// Decodes a [`FrameKind::Batch`] request payload.
 pub fn decode_batch_request(payload: &[u8]) -> Result<Vec<DiagnoseRequest>, DiagnosisError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let n = c.u32().map_err(DiagnosisError::Frame)? as usize;
     if n > c.remaining() / 4 {
         return Err(DiagnosisError::Frame(FrameError::BadPayload("job count")));
@@ -841,11 +840,7 @@ pub fn decode_batch_request(payload: &[u8]) -> Result<Vec<DiagnoseRequest>, Diag
         let body = c.take(len).map_err(DiagnosisError::Frame)?;
         jobs.push(decode_diagnose_request(body)?);
     }
-    if c.remaining() != 0 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload(
-            "trailing bytes",
-        )));
-    }
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok(jobs)
 }
 
@@ -872,10 +867,7 @@ pub fn encode_batch_report(results: &[Result<String, String>]) -> Vec<u8> {
 pub fn decode_batch_report(
     payload: &[u8],
 ) -> Result<Vec<Result<String, DiagnosisError>>, FrameError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let n = c.u32()? as usize;
     // Each record is at least flag + length word.
     if n > c.remaining() / 5 {
@@ -893,9 +885,7 @@ pub fn decode_batch_report(
             _ => return Err(FrameError::BadPayload("ok flag")),
         });
     }
-    if c.remaining() != 0 {
-        return Err(FrameError::BadPayload("trailing bytes"));
-    }
+    c.done()?;
     Ok(out)
 }
 
@@ -1083,11 +1073,7 @@ pub fn serve(
     let (waker, wake_rx) =
         reactor::wake_pair().map_err(|e| DiagnosisError::Frame(FrameError::Io(e.to_string())))?;
     let shared = Shared::default();
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.workers
-    };
+    let workers = resolve_workers(cfg.workers);
     // One diagnosis server shared by every worker: its index and walk
     // table are read-only once built, so workers need no copy of their
     // own.

@@ -144,15 +144,6 @@ impl DiagnosisError {
         };
         DiagnosisError::WorkerPanic { stage, detail }
     }
-
-    /// A [`DiagnosisError::WorkerPanic`] for a worker that disappeared
-    /// without reporting — a poisoned slot or a vanished result.
-    pub fn worker_lost(stage: &'static str) -> Self {
-        DiagnosisError::WorkerPanic {
-            stage,
-            detail: "worker produced no result".to_owned(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -65,8 +65,8 @@
 //! slot until daemon restart.
 
 use crate::daemon::{
-    decode_failure, decode_snapshots, encode_failure, encode_snapshots, Cursor, FrameError,
-    FrameKind,
+    decode_failure, decode_snapshots, encode_failure, encode_snapshots, push_u32, push_u64, Cursor,
+    FrameError, FrameKind,
 };
 use crate::error::DiagnosisError;
 use crate::patterns::{AccessKind, AtomKind, BugPattern, DeadlockEdge, PatternEvent};
@@ -80,10 +80,9 @@ use crate::session::{AtCapacity, SessionTable, MAX_SESSIONS};
 use crate::statistics::{top_pattern_count, PatternCounts, PatternStats};
 use lazy_analysis::PointsToCache;
 use lazy_ir::{Module, Pc};
-use lazy_trace::{SnapshotView, TraceSnapshot};
+use lazy_trace::{fan_out, resolve_workers, SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -634,47 +633,22 @@ impl<'m> FleetRouter<'m> {
         )
     }
 
-    /// Routes many in-flight reports concurrently; rounds interleave
-    /// across the shared shards. In-flight reports are bounded by the
-    /// machine's parallelism: an unbounded thread-per-report fan-out
-    /// just multiplies contention on the per-shard mutexes (and evicts
-    /// each other's decode working set) without adding wall-clock
-    /// overlap. On one core the pool degrades to warm sequential
-    /// routing, which is the throughput optimum there. Results come
-    /// back in input order; each report succeeds or fails alone —
-    /// interleaving safety is carried by the per-shard mutexes, not by
-    /// this pool (concurrent `route` calls from arbitrary threads are
-    /// equally fine).
+    /// Routes many in-flight reports concurrently on
+    /// [`lazy_trace::fan_out`]; rounds interleave across the shared
+    /// shards. In-flight reports are bounded by the machine's
+    /// parallelism, the calling thread included: an unbounded
+    /// thread-per-report fan-out just multiplies contention on the
+    /// per-shard mutexes (and evicts each other's decode working set)
+    /// without adding wall-clock overlap. On one core every report
+    /// routes on the calling thread, warm and sequential, which is the
+    /// throughput optimum there. Results come back in input order; each
+    /// report succeeds or fails alone — interleaving safety is carried
+    /// by the per-shard mutexes, not by the fan-out (concurrent `route`
+    /// calls from arbitrary threads are equally fine).
     pub fn route_all(&self, reports: &[FleetReport]) -> Vec<Result<FleetOutcome, DiagnosisError>> {
-        let mut out: Vec<Option<Result<FleetOutcome, DiagnosisError>>> =
-            reports.iter().map(|_| None).collect();
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(reports.len().max(1));
-        let slots = Mutex::new(out.iter_mut().zip(reports).enumerate());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let Some((_, (slot, report))) = ({
-                        let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                        slots.next()
-                    }) else {
-                        return;
-                    };
-                    let r = catch_unwind(AssertUnwindSafe(|| self.route(report)))
-                        .unwrap_or_else(|p| Err(DiagnosisError::from_panic("fleet", p)));
-                    *slot = Some(r);
-                });
-            }
-        });
-        out.into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(DiagnosisError::Fleet {
-                        detail: "routed report returned no result".to_owned(),
-                    })
-                })
-            })
+        fan_out(reports, resolve_workers(0), |report| self.route(report))
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("fleet", p))))
             .collect()
     }
 
@@ -769,7 +743,7 @@ fn run_rounds(
         record_round(
             "collect",
             &mut reports,
-            fan_out(shards, &alive, |k, shard| {
+            on_live_shards(shards, &alive, |k, shard| {
                 shard.collect(session, failure, &parts[k].0, &parts[k].1)
             }),
         )
@@ -792,7 +766,7 @@ fn run_rounds(
         record_round(
             "patterns",
             &mut reports,
-            fan_out(shards, &alive, |_, shard| {
+            on_live_shards(shards, &alive, |_, shard| {
                 shard.patterns(session, &executed)
             }),
         )
@@ -827,7 +801,7 @@ fn run_rounds(
     let round_started = Instant::now();
     let finals: Vec<Option<FinalizeReply>> = {
         let _round = lazy_obs::span!("fleet.finalize");
-        let results = fan_out(shards, &alive, |k, shard| {
+        let results = on_live_shards(shards, &alive, |k, shard| {
             let reply = shard.finalize(session, &patterns)?;
             check_totals(&reply.stats, collected[k].as_ref())?;
             Ok(reply)
@@ -905,33 +879,30 @@ fn run_rounds(
     })
 }
 
-/// Runs `f` concurrently against every still-alive shard (one scoped
-/// thread each; a shard is one network peer, so parallel fan-out is the
-/// round's natural shape). Each thread locks exactly its own shard for
-/// the duration of the round — that per-shard mutex is what lets a
-/// [`FleetRouter`] interleave many reports over one shard set without
-/// interleaving bytes on a connection. A panic inside a shard call
-/// degrades that shard instead of unwinding through the scope.
-fn fan_out<R: Send>(
+/// Runs `f` concurrently against every still-alive shard, one worker
+/// each (a shard is one network peer, so a round blocked on one shard
+/// must not hold up the others). Each worker locks exactly its own
+/// shard for the duration of the round — that per-shard mutex is what
+/// lets a [`FleetRouter`] interleave many reports over one shard set
+/// without interleaving bytes on a connection. A panic inside a shard
+/// call degrades that shard. Results are index-aligned with `shards`;
+/// a dead shard's slot is `None`.
+fn on_live_shards<R: Send>(
     shards: &[Mutex<ShardConn<'_>>],
     alive: &[bool],
     f: impl Fn(usize, &mut ShardConn<'_>) -> Result<R, DiagnosisError> + Sync,
 ) -> Vec<Option<Result<R, DiagnosisError>>> {
-    let mut slots: Vec<Option<Result<R, DiagnosisError>>> = shards.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((k, shard), slot) in shards.iter().enumerate().zip(slots.iter_mut()) {
-            if !alive[k] {
-                continue;
-            }
-            let f = &f;
-            scope.spawn(move || {
-                let mut conn = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                let r = catch_unwind(AssertUnwindSafe(|| f(k, &mut conn)))
-                    .unwrap_or_else(|p| Err(DiagnosisError::from_panic("fleet", p)));
-                *slot = Some(r);
-            });
-        }
+    let live: Vec<usize> = (0..shards.len()).filter(|&k| alive[k]).collect();
+    let results = fan_out(&live, live.len(), |&k| {
+        f(
+            k,
+            &mut shards[k].lock().unwrap_or_else(PoisonError::into_inner),
+        )
     });
+    let mut slots: Vec<Option<Result<R, DiagnosisError>>> = shards.iter().map(|_| None).collect();
+    for (&k, r) in live.iter().zip(results) {
+        slots[k] = Some(r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("fleet", p))));
+    }
     slots
 }
 
@@ -991,14 +962,6 @@ fn require_survivors(alive: &[bool], reports: &[ShardReport]) -> Result<(), Diag
 
 // ---------------------------------------------------------------------
 // Wire codecs for the fleet frames.
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn encode_event(out: &mut Vec<u8>, e: &PatternEvent) {
     push_u64(out, e.pc.0);
@@ -1169,20 +1132,6 @@ fn decode_pcs(c: &mut Cursor<'_>) -> Result<Vec<Pc>, FrameError> {
     Ok(out)
 }
 
-fn done(c: &Cursor<'_>) -> Result<(), FrameError> {
-    if c.remaining() != 0 {
-        return Err(FrameError::BadPayload("trailing bytes"));
-    }
-    Ok(())
-}
-
-fn cursor(payload: &[u8]) -> Cursor<'_> {
-    Cursor {
-        bytes: payload,
-        pos: 0,
-    }
-}
-
 /// Encodes a [`FrameKind::FleetCollect`] payload.
 pub fn encode_fleet_collect(
     session: u64,
@@ -1207,12 +1156,12 @@ pub fn encode_fleet_collect(
 pub fn decode_fleet_collect(
     payload: &[u8],
 ) -> Result<(u64, crate::daemon::DiagnoseRequest), DiagnosisError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64().map_err(DiagnosisError::Frame)?;
     let failure = decode_failure(&mut c).map_err(DiagnosisError::Frame)?;
     let failing = decode_snapshots(&mut c)?;
     let successful = decode_snapshots(&mut c)?;
-    done(&c).map_err(DiagnosisError::Frame)?;
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok((
         session,
         crate::daemon::DiagnoseRequest {
@@ -1233,10 +1182,10 @@ pub fn decode_fleet_collect(
 pub(crate) fn decode_fleet_collect_view(
     payload: &[u8],
 ) -> Result<(u64, crate::daemon::DiagnoseRequestView<'_>), DiagnosisError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64().map_err(DiagnosisError::Frame)?;
     let request = crate::daemon::decode_diagnose_view_cursor(&mut c)?;
-    done(&c).map_err(DiagnosisError::Frame)?;
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok((session, request))
 }
 
@@ -1260,7 +1209,7 @@ pub fn encode_collect_reply(r: &CollectReply) -> Vec<u8> {
 /// [`FrameError::BadPayload`] / [`FrameError::Truncated`] on structural
 /// corruption.
 pub fn decode_collect_reply(payload: &[u8]) -> Result<CollectReply, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let r = CollectReply {
         executed: decode_pcs(&mut c)?,
         failing: c.u32()?,
@@ -1270,7 +1219,7 @@ pub fn decode_collect_reply(payload: &[u8]) -> Result<CollectReply, FrameError> 
         cyc_dropped: c.u64()?,
         mtc_dups: c.u64()?,
     };
-    done(&c)?;
+    c.done()?;
     Ok(r)
 }
 
@@ -1288,10 +1237,10 @@ pub fn encode_fleet_patterns(session: u64, executed: &[Pc]) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_fleet_patterns(payload: &[u8]) -> Result<(u64, Vec<Pc>), FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64()?;
     let executed = decode_pcs(&mut c)?;
-    done(&c)?;
+    c.done()?;
     Ok((session, executed))
 }
 
@@ -1312,7 +1261,7 @@ pub fn encode_patterns_reply(r: &PatternsReply) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_patterns_reply(payload: &[u8]) -> Result<PatternsReply, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let r = PatternsReply {
         patterns: decode_patterns(&mut c)?,
         failing_pc: Pc(c.u64()?),
@@ -1320,7 +1269,7 @@ pub fn decode_patterns_reply(payload: &[u8]) -> Result<PatternsReply, FrameError
         candidates: c.u32()?,
         rank1_candidates: c.u32()?,
     };
-    done(&c)?;
+    c.done()?;
     Ok(r)
 }
 
@@ -1338,10 +1287,10 @@ pub fn encode_fleet_finalize(session: u64, patterns: &[BugPattern]) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_fleet_finalize(payload: &[u8]) -> Result<(u64, Vec<BugPattern>), FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64()?;
     let patterns = decode_patterns(&mut c)?;
-    done(&c)?;
+    c.done()?;
     Ok((session, patterns))
 }
 
@@ -1372,7 +1321,7 @@ pub fn encode_finalize_reply(r: &FinalizeReply) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_finalize_reply(payload: &[u8]) -> Result<FinalizeReply, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let failing = c.u64()? as usize;
     let successful = c.u64()? as usize;
     let n = c.u32()? as usize;
@@ -1402,7 +1351,7 @@ pub fn decode_finalize_reply(payload: &[u8]) -> Result<FinalizeReply, FrameError
     for _ in 0..m {
         event_times.push((Pc(c.u64()?), c.u64()?));
     }
-    done(&c)?;
+    c.done()?;
     Ok(FinalizeReply {
         stats: PatternStats::from_parts(entries, failing, successful),
         event_times,
@@ -1446,7 +1395,7 @@ pub fn encode_shard_stats(s: &ShardStats) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_shard_stats(payload: &[u8]) -> Result<ShardStats, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let s = ShardStats {
         open_sessions: c.u64()?,
         sessions_evicted: c.u64()?,
@@ -1455,7 +1404,7 @@ pub fn decode_shard_stats(payload: &[u8]) -> Result<ShardStats, FrameError> {
         cache_delta_solves: c.u64()?,
         cache_scratch_solves: c.u64()?,
     };
-    done(&c)?;
+    c.done()?;
     Ok(s)
 }
 
@@ -1520,7 +1469,7 @@ mod tests {
         let patterns = sample_patterns();
         let mut out = Vec::new();
         encode_patterns(&mut out, &patterns);
-        let mut c = cursor(&out);
+        let mut c = Cursor::new(&out);
         let back = decode_patterns(&mut c).unwrap();
         assert_eq!(back, patterns);
         assert_eq!(c.remaining(), 0);

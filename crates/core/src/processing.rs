@@ -15,13 +15,10 @@
 use crate::error::DiagnosisError;
 use lazy_ir::{Module, Pc};
 use lazy_trace::{
-    decode_thread_trace_adaptive, recycle_events, DecodeError, DecodedTrace, ExecIndex,
+    decode_thread_trace_adaptive, fan_out, recycle_events, DecodeError, DecodedTrace, ExecIndex,
     SnapshotView, TimeBounds, TraceConfig, TraceSnapshot, WalkTable,
 };
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// One dynamic instance of an instruction in a processed trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -311,7 +308,8 @@ impl<'i> Aggregator<'i> {
     }
 }
 
-/// Decodes and processes a snapshot against the module (steps 2–3).
+/// Decodes and processes a snapshot against the module (steps 2–3),
+/// one decode thread, no [`WalkTable`].
 ///
 /// Threads whose buffers cannot be decoded at all (e.g. an empty buffer
 /// from a thread that never branched) are skipped rather than failing
@@ -329,38 +327,22 @@ pub fn process_snapshot(
     config: &TraceConfig,
     snapshot: &TraceSnapshot,
 ) -> Result<ProcessedTrace, DiagnosisError> {
-    process_snapshot_par(module, index, None, config, snapshot, 1)
+    process_snapshot_view(module, index, None, config, &snapshot.view(), 1)
 }
 
-/// [`process_snapshot`] with up to `workers` decode threads and an
+/// [`process_snapshot`] over a borrowed [`SnapshotView`] — the
+/// zero-copy ingest path — with up to `workers` decode threads and an
 /// optional compiled [`WalkTable`] (the server threads its cross-job
-/// cache through here).
+/// cache through here). Thread trace bytes are decoded straight out of
+/// whatever buffer the view borrows from (a connection's read buffer, a
+/// wire payload); nothing is copied on the way in.
 ///
-/// Thread streams decode concurrently; each stream is then routed by
-/// [`decode_thread_trace_adaptive`] — large streams additionally use
-/// PSB-sharded decode internally, small ones take the fused pass with
-/// zero sharding overhead. Aggregation runs sequentially in thread
-/// order over the (bit-identical) per-thread decodes, so the result is
-/// byte-for-byte the same as `workers == 1`.
-///
-/// # Errors
-///
-/// Same contract as [`process_snapshot`].
-pub fn process_snapshot_par(
-    module: &Module,
-    index: &ExecIndex,
-    table: Option<&WalkTable>,
-    config: &TraceConfig,
-    snapshot: &TraceSnapshot,
-    workers: usize,
-) -> Result<ProcessedTrace, DiagnosisError> {
-    process_snapshot_view(module, index, table, config, &snapshot.view(), workers)
-}
-
-/// [`process_snapshot_par`] over a borrowed [`SnapshotView`] — the
-/// zero-copy ingest path. Thread trace bytes are decoded straight out
-/// of whatever buffer the view borrows from (a connection's read
-/// buffer, a wire payload); nothing is copied on the way in.
+/// Thread streams decode concurrently on [`fan_out`]; each stream is
+/// then routed by [`decode_thread_trace_adaptive`] — large streams
+/// additionally use PSB-sharded decode internally, small ones take the
+/// fused pass with zero sharding overhead. Aggregation runs
+/// sequentially in thread order over the (bit-identical) per-thread
+/// decodes, so the result is byte-for-byte the same as `workers == 1`.
 ///
 /// A thread record holding a PC the [`ExecIndex`] cannot place is
 /// skipped like one that fails to decode.
@@ -378,49 +360,18 @@ pub fn process_snapshot_view(
 ) -> Result<ProcessedTrace, DiagnosisError> {
     let _span = lazy_obs::span!("decode.snapshot");
     lazy_obs::counter!("decode.threads_total", snapshot.threads.len());
-    // Every per-thread decode runs inside catch_unwind so a decoder
-    // panic surfaces as a typed WorkerPanic instead of unwinding
-    // through the scope (which would abort the whole diagnosis, or in
-    // batch mode the whole batch).
-    let decode = |bytes: &[u8]| -> Result<DecodedTrace, DiagnosisError> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            decode_thread_trace_adaptive(index, table, config, bytes, snapshot.taken_at, workers)
-        })) {
-            Ok(r) => r.map_err(DiagnosisError::from),
-            Err(payload) => Err(DiagnosisError::from_panic("decode", payload)),
-        }
-    };
-    let decoded: Vec<Result<DecodedTrace, DiagnosisError>> =
-        if workers > 1 && snapshot.threads.len() > 1 {
-            let slots: Vec<Mutex<Option<Result<DecodedTrace, DiagnosisError>>>> =
-                snapshot.threads.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(snapshot.threads.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(thread) = snapshot.threads.get(i) else {
-                            break;
-                        };
-                        // A poisoned slot means another worker panicked
-                        // while holding it; the Option inside is still
-                        // well-formed, so recover the guard.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some(decode(thread.bytes));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .unwrap_or_else(|| Err(DiagnosisError::worker_lost("decode")))
-                })
-                .collect()
-        } else {
-            snapshot.threads.iter().map(|t| decode(t.bytes)).collect()
-        };
+    // A decoder panic fails this snapshot with a typed WorkerPanic
+    // instead of unwinding through the whole diagnosis (or batch).
+    let decoded = fan_out(&snapshot.threads, workers, |thread| {
+        decode_thread_trace_adaptive(
+            index,
+            table,
+            config,
+            thread.bytes,
+            snapshot.taken_at,
+            workers,
+        )
+    });
 
     let aggregate_span = lazy_obs::span!("process.aggregate");
     let mut aggregator = Aggregator::new(index, snapshot.taken_at);
@@ -433,17 +384,17 @@ pub fn process_snapshot_view(
 
     for (thread, result) in snapshot.threads.iter().zip(decoded) {
         let trace: DecodedTrace = match result {
-            Ok(t) => t,
+            Ok(Ok(t)) => t,
             // A plain decode failure degrades: skip this thread, keep
-            // the rest. Anything else (a worker panic) fails the
-            // snapshot — losing a worker is an internal fault, not a
-            // property of one thread's bytes.
-            Err(DiagnosisError::Decode(e)) => {
+            // the rest. A worker panic fails the snapshot — losing a
+            // worker is an internal fault, not a property of one
+            // thread's bytes.
+            Ok(Err(e)) => {
                 lazy_obs::counter!("decode.threads_skipped_total", 1u64);
                 last_err = e;
                 continue;
             }
-            Err(e) => return Err(e),
+            Err(payload) => return Err(DiagnosisError::from_panic("decode", payload)),
         };
         let (events, thread_resyncs, thread_cyc, thread_mtc) = (
             trace.events.len(),

@@ -16,11 +16,12 @@ use crate::processing::{process_snapshot_view, ProcessedTrace};
 use crate::statistics::{score_patterns, top_pattern_count, PatternScore};
 use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
 use lazy_ir::{Cfg, Module, Pc};
-use lazy_trace::{ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable};
+use lazy_trace::{
+    fan_out, resolve_workers, ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable,
+};
 use lazy_vm::{Failure, FailureKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -80,11 +81,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     pub(crate) fn resolved_decode_workers(&self) -> usize {
-        if self.decode_workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.decode_workers
-        }
+        resolve_workers(self.decode_workers)
     }
 }
 
@@ -459,44 +456,10 @@ impl<'m> DiagnosisServer<'m> {
             }
             Ok(t)
         };
-        let results: Vec<Processed> = if outer > 1 {
-            let slots: Vec<Mutex<Option<Processed>>> =
-                snapshots.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..outer {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(s) = snapshots.get(i) else { break };
-                        // catch_unwind per snapshot: one panicking
-                        // snapshot fails that snapshot only, and the
-                        // panic must not unwind through the scope
-                        // (which would abort every other snapshot).
-                        let r = catch_unwind(AssertUnwindSafe(|| process_one(s)))
-                            .unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p)));
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .unwrap_or_else(|| Err(DiagnosisError::worker_lost("process")))
-                })
-                .collect()
-        } else {
-            snapshots
-                .iter()
-                .map(|s| {
-                    catch_unwind(AssertUnwindSafe(|| process_one(s)))
-                        .unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p)))
-                })
-                .collect()
-        };
-
-        let mut results = results.into_iter();
+        // One panicking snapshot fails that snapshot only.
+        let mut results = fan_out(&snapshots, outer, |s| process_one(s))
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p))));
         let mut failing_traces = Vec::with_capacity(failing.len());
         for r in results.by_ref().take(failing.len()) {
             failing_traces.push(r?);
@@ -869,6 +832,7 @@ pub(crate) struct StageTimes {
 mod tests {
     use super::*;
     use lazy_ir::{ModuleBuilder, Operand, Type};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn breakpoint_plan_walks_predecessors() {

@@ -69,7 +69,8 @@
 //! * CLI: `snorlax stream submit/status/finish`.
 
 use crate::daemon::{
-    decode_failure, decode_snapshots_view, encode_failure, encode_snapshots, Cursor, FrameError,
+    decode_failure, decode_snapshots_view, encode_failure, encode_snapshots, push_u32, push_u64,
+    Cursor, FrameError,
 };
 use crate::error::DiagnosisError;
 use crate::patterns::BugPattern;
@@ -823,28 +824,6 @@ fn unknown_session(session: u64) -> DiagnosisError {
 // ---------------------------------------------------------------------
 // Wire codecs for the stream frames.
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn cursor(payload: &[u8]) -> Cursor<'_> {
-    Cursor {
-        bytes: payload,
-        pos: 0,
-    }
-}
-
-fn done(c: &Cursor<'_>) -> Result<(), FrameError> {
-    if c.remaining() != 0 {
-        return Err(FrameError::BadPayload("trailing bytes"));
-    }
-    Ok(())
-}
-
 /// One decoded `StreamSubmit` payload, borrowing its trace bytes.
 pub enum StreamSubmitView<'a> {
     /// A failing report: the observed failure plus its snapshot.
@@ -896,7 +875,7 @@ pub fn encode_stream_submit_success(session: u64, snap: &TraceSnapshot) -> Vec<u
 pub fn decode_stream_submit_view(
     payload: &[u8],
 ) -> Result<(u64, StreamSubmitView<'_>), DiagnosisError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64().map_err(DiagnosisError::Frame)?;
     let tag = c.u8().map_err(DiagnosisError::Frame)?;
     let view = match tag {
@@ -914,7 +893,7 @@ pub fn decode_stream_submit_view(
             )))
         }
     };
-    done(&c).map_err(DiagnosisError::Frame)?;
+    c.done().map_err(DiagnosisError::Frame)?;
     Ok((session, view))
 }
 
@@ -947,9 +926,9 @@ pub fn encode_stream_session(session: u64) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_stream_session(payload: &[u8]) -> Result<u64, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let session = c.u64()?;
-    done(&c)?;
+    c.done()?;
     Ok(session)
 }
 
@@ -971,7 +950,7 @@ pub fn encode_stream_status(s: &StreamStatus) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_stream_status(payload: &[u8]) -> Result<StreamStatus, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let s = StreamStatus {
         reports_consumed: c.u64()?,
         reports_rejected: c.u64()?,
@@ -984,7 +963,7 @@ pub fn decode_stream_status(payload: &[u8]) -> Result<StreamStatus, FrameError> 
         failing: c.u32()?,
         successes: c.u32()?,
     };
-    done(&c)?;
+    c.done()?;
     Ok(s)
 }
 
@@ -1025,7 +1004,7 @@ pub fn encode_stream_finish_reply(r: &StreamFinishReply) -> Vec<u8> {
 ///
 /// Frame errors on structural corruption.
 pub fn decode_stream_finish_reply(payload: &[u8]) -> Result<StreamFinishReply, FrameError> {
-    let mut c = cursor(payload);
+    let mut c = Cursor::new(payload);
     let reports_consumed = c.u64()?;
     let reports_rejected = c.u64()?;
     let converged_early = match c.u8()? {
@@ -1044,7 +1023,7 @@ pub fn decode_stream_finish_reply(payload: &[u8]) -> Result<StreamFinishReply, F
     for _ in 0..n {
         lead_history.push(f64::from_bits(c.u64()?));
     }
-    done(&c)?;
+    c.done()?;
     Ok(StreamFinishReply {
         reports_consumed,
         reports_rejected,

@@ -268,10 +268,13 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
-/// Cap on buffered span records per thread; beyond it, records are
-/// dropped (counted in `obs.span_records_dropped_total`) while site
-/// aggregates keep accumulating.
+/// Cap on buffered span records per live thread, and on the one
+/// buffer that holds the records of every exited thread; beyond it,
+/// records are dropped (counted in `obs.span_records_dropped_total`)
+/// while site aggregates keep accumulating.
 pub const MAX_THREAD_RECORDS: usize = 8192;
+
+static DROPPED: Counter = Counter::new("obs.span_records_dropped_total");
 
 struct ThreadRecords {
     records: Mutex<Vec<SpanRecord>>,
@@ -290,8 +293,30 @@ impl ThreadState {
             buf.push(r);
         } else {
             drop(buf);
-            static DROPPED: Counter = Counter::new("obs.span_records_dropped_total");
             DROPPED.add(1);
+        }
+    }
+}
+
+/// A thread that exits leaves the registry, so a process that spawns
+/// threads per request holds one buffer per *live* thread, not one per
+/// thread it ever ran. Its undrained records move to the shared
+/// retired buffer, which [`drain_span_records`] also drains.
+impl Drop for ThreadState {
+    fn drop(&mut self) {
+        let reg = registry();
+        let mut threads = lock(&reg.threads);
+        threads.retain(|b| !Arc::ptr_eq(b, &self.shared));
+        let mut records = std::mem::take(&mut *lock(&self.shared.records));
+        let mut retired = lock(&reg.retired);
+        let room = MAX_THREAD_RECORDS.saturating_sub(retired.len());
+        let dropped = records.len().saturating_sub(room);
+        records.truncate(room);
+        retired.append(&mut records);
+        drop(retired);
+        drop(threads);
+        if dropped > 0 {
+            DROPPED.add(dropped as u64);
         }
     }
 }
@@ -308,12 +333,17 @@ thread_local! {
     };
 }
 
-/// The global registry of every touched site and every thread buffer.
+/// The global registry of every touched site and every live thread's
+/// buffer. Lock order: `threads`, then a thread's `records`, then
+/// `retired`.
 struct Registry {
     counters: Mutex<Vec<&'static Counter>>,
     histograms: Mutex<Vec<&'static Histogram>>,
     spans: Mutex<Vec<&'static SpanSite>>,
     threads: Mutex<Vec<Arc<ThreadRecords>>>,
+    /// Undrained records of exited threads, at most
+    /// [`MAX_THREAD_RECORDS`].
+    retired: Mutex<Vec<SpanRecord>>,
 }
 
 fn registry() -> &'static Registry {
@@ -323,6 +353,7 @@ fn registry() -> &'static Registry {
         histograms: Mutex::new(Vec::new()),
         spans: Mutex::new(Vec::new()),
         threads: Mutex::new(Vec::new()),
+        retired: Mutex::new(Vec::new()),
     })
 }
 
@@ -379,17 +410,20 @@ pub fn snapshot() -> PipelineTelemetry {
     }
 }
 
-/// Drains every thread's span-record buffer (including finished
-/// threads' — buffers outlive their threads via `Arc`). Records are
-/// returned grouped by thread, each thread's records in completion
-/// order. Meant for tests and offline span-tree analysis, not the hot
-/// path.
+/// Drains every thread's span-record buffer, including the records
+/// finished threads left behind (up to [`MAX_THREAD_RECORDS`] of them
+/// between drains). Records are returned grouped by thread, each
+/// thread's records in completion order. Meant for tests and offline
+/// span-tree analysis, not the hot path.
 #[must_use]
 pub fn drain_span_records() -> Vec<SpanRecord> {
+    let reg = registry();
+    let threads = lock(&reg.threads);
     let mut out = Vec::new();
-    for buf in lock(&registry().threads).iter() {
+    for buf in threads.iter() {
         out.append(&mut lock(&buf.records));
     }
+    out.append(&mut lock(&reg.retired));
     out
 }
 
@@ -406,4 +440,59 @@ pub fn drain_current_thread_records() -> Vec<SpanRecord> {
 #[must_use]
 pub fn current_thread_tid() -> u64 {
     THREAD.try_with(|t| t.tid).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn thread_buffers() -> usize {
+        lock(&registry().threads).len()
+    }
+
+    fn count(records: &[SpanRecord], name: &str) -> usize {
+        records.iter().filter(|r| r.name == name).count()
+    }
+
+    /// The only test in this crate that records spans or spawns
+    /// threads, so the registry's counts are exact here.
+    #[test]
+    fn exited_threads_leave_the_registry_and_their_records_stay_drainable() {
+        // Register this thread's own buffer and start from empty buffers.
+        drop(crate::span!("registry.caller"));
+        let _ = drain_span_records();
+        let before = thread_buffers();
+
+        // 1,000 short-lived threads, one after another, each closing
+        // one span. Joining a thread runs its exit, so none of them is
+        // alive when the count is read.
+        for _ in 0..1_000 {
+            std::thread::spawn(|| drop(crate::span!("registry.short_lived")))
+                .join()
+                .unwrap();
+            assert_eq!(thread_buffers(), before, "an exited thread left its buffer");
+        }
+        let records = drain_span_records();
+        assert_eq!(count(&records, "registry.short_lived"), 1_000);
+
+        // Past the cap, exited threads' records are dropped and counted.
+        let dropped_before = DROPPED.get();
+        let (threads, spans) = (10, 1_000);
+        for _ in 0..threads {
+            std::thread::spawn(move || {
+                for _ in 0..spans {
+                    drop(crate::span!("registry.chatty"));
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let records = drain_span_records();
+        assert_eq!(count(&records, "registry.chatty"), MAX_THREAD_RECORDS);
+        assert_eq!(
+            DROPPED.get() - dropped_before,
+            (threads * spans - MAX_THREAD_RECORDS) as u64
+        );
+        assert_eq!(thread_buffers(), before);
+    }
 }

@@ -34,6 +34,7 @@
 //!   baseline for tests and benches.
 
 use crate::config::TraceConfig;
+use crate::fanout::{fan_out, resolve_workers};
 use crate::packet::{Packet, PacketDecoder};
 use lazy_ir::{InstKind, Module, Pc};
 use std::collections::HashMap;
@@ -1751,7 +1752,7 @@ pub fn decode_thread_trace_sharded(
 ///   interpreted walk runs (`decode.walk_table.{hit,bypass}` count the
 ///   outcomes).
 /// * `worker_budget` — the parallelism available to *this* decode;
-///   `0` means "ask the OS" ([`std::thread::available_parallelism`]).
+///   `0` means one per available core ([`resolve_workers`]).
 ///
 /// Routing: the shard count is the worker budget capped by
 /// `len / decode_shard_target_bytes` (each shard must be big enough to
@@ -1783,12 +1784,8 @@ pub fn decode_thread_trace_adaptive(
         lazy_obs::counter!("decode.walk_table.bypass", 1u64);
     }
     let walker = Walker { index, table };
-    let budget = if worker_budget == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        worker_budget
-    };
-    let shards = budget.min(bytes.len() / config.decode_shard_target_bytes.max(1));
+    let shards =
+        resolve_workers(worker_budget).min(bytes.len() / config.decode_shard_target_bytes.max(1));
     if shards <= 1 || bytes.len() < config.decode_shard_min_bytes {
         lazy_obs::counter!("decode.shard.routed_fused", 1u64);
         decode_stream(walker, config, bytes, snapshot_time)
@@ -1842,46 +1839,17 @@ fn decode_sharded(
 
     lazy_obs::counter!("decode.shards_total", shards.len());
     let _speculate_span = lazy_obs::span!("decode.shard.speculate");
-    let outcomes: Vec<ShardOutcome> = if shards.len() == 1 {
-        let (r, seed) = &shards[0];
-        vec![decode_shard(
-            walker,
-            config,
-            bytes,
-            r.clone(),
-            *seed,
-            snapshot_time,
-        )]
-    } else {
-        // Speculative shard decode runs inside catch_unwind: a panic in
-        // one worker must not take down the caller. The parallel path
-        // is an optimization over the fused sequential decoder, so on
-        // any shard panic we discard all speculation and fall back to
-        // the sequential path — same result, just slower.
-        let caught: Option<Vec<ShardOutcome>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|(r, seed)| {
-                    let (r, seed) = (r.clone(), *seed);
-                    scope.spawn(move || {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            decode_shard(walker, config, bytes, r, seed, snapshot_time)
-                        }))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(out)) => Some(out),
-                    _ => None,
-                })
-                .collect()
-        });
-        match caught {
-            Some(outs) => outs,
-            None => return decode_stream(walker, config, bytes, snapshot_time),
-        }
+    // The sharded path is an optimization over the fused sequential
+    // decoder, so a panic in any shard discards all speculation and
+    // falls back to the sequential path: same result, just slower.
+    let speculated = fan_out(&shards, shards.len(), |(r, seed)| {
+        decode_shard(walker, config, bytes, r.clone(), *seed, snapshot_time)
+    });
+    let Ok(outcomes) = speculated
+        .into_iter()
+        .collect::<Result<Vec<ShardOutcome>, _>>()
+    else {
+        return decode_stream(walker, config, bytes, snapshot_time);
     };
 
     drop(_speculate_span);

@@ -30,12 +30,16 @@
 //!   buffers, snapshot-on-failure, and breakpoint-PC-triggered snapshots
 //!   (the paper's ioctl interface used to collect traces from *successful*
 //!   executions at a previous failure's location).
+//! * **Fan-out** ([`fanout`]): the one scoped worker helper that every
+//!   parallel stage, from PSB-sharded decode up to the fleet's rounds,
+//!   runs its tasks on.
 
 pub mod config;
 pub mod corrupt;
 pub mod decoder;
 pub mod driver;
 pub mod encoder;
+pub mod fanout;
 pub mod packet;
 pub mod ring;
 pub mod stats;
@@ -52,6 +56,7 @@ pub use driver::{
     SnapshotTrigger, SnapshotView, ThreadTrace, ThreadTraceView, TraceDriver, TraceSnapshot,
 };
 pub use encoder::Encoder;
+pub use fanout::{fan_out, resolve_workers};
 pub use packet::{find_psb, find_psb_scalar, Packet, PacketDecoder, PacketEncoder, PSB_MARKER};
 pub use ring::RingBuffer;
 pub use stats::TraceStats;

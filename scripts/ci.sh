@@ -6,8 +6,10 @@
 #                          (54-bug degradation corpus, --features slow-tests)
 #   scripts/ci.sh --fast   the seconds-scale inner-loop lane: the
 #                          SWAR/scalar packet-scan differential, the
-#                          streaming-law proptests and the snapshot
-#                          aggregation differential
+#                          streaming-law proptests, the snapshot
+#                          aggregation differential, the fan-out
+#                          helper's contract and the bounded telemetry
+#                          thread registry
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +23,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-snorlax --test streaming_laws
   echo "==> fast lane: dense snapshot aggregation vs the per-event-hash reference"
   cargo test --release -q -p lazy-snorlax --lib processing::aggregate_tests
+  echo "==> fast lane: fan-out helper contract (order, per-task panics, inline, concurrency)"
+  cargo test --release -q -p lazy-trace --lib fanout::tests
+  echo "==> fast lane: exited threads leave the telemetry registry"
+  cargo test --release -q -p lazy-obs --lib site::tests
   echo "CI OK (fast lane)"
   exit 0
 fi
