@@ -51,17 +51,13 @@ fn usage() -> ExitCode {
                                           probe a running snorlaxd, or drain and stop it\n\
            fleet serve-shard <bug-id> [--port N]\n\
                                           run one snorlaxd shard (same daemon, fleet frames on)\n\
-           fleet coordinate <bug-id> [--shards N] [--seed N]\n\
-                                          shard one failure report across N in-process shards,\n\
-                                          merge the partial statistics, and verify the merged\n\
-                                          render against single-node diagnosis\n\
-           fleet submit <bug-id> --addrs H:P,H:P[,...] [--seed N]\n\
-                                          coordinate a diagnosis across running snorlaxd shards\n\
            fleet route <bug-id> [--reports K] [--shards N | --addrs H:P,...] [--seed N]\n\
-                                          collect K reports of the bug and route them concurrently\n\
-                                          across warm persistent shard sessions; verifies each\n\
-                                          report against single-node diagnosis and prints the\n\
-                                          per-shard warm-cache statistics\n\
+                                          collect K reports of the bug (default 4) and route them\n\
+                                          concurrently across N in-process shards (default 2) or\n\
+                                          running snorlaxd shards; verifies each report against\n\
+                                          single-node diagnosis, prints its failed-shard count and\n\
+                                          the per-shard warm-cache statistics, and exits non-zero\n\
+                                          when any report diverged or any shard failed\n\
            stream submit <bug-id> --addr HOST:PORT [--seed N] [--session ID] [--keep-open]\n\
                                           collect one failure report locally and stream it to a\n\
                                           snorlaxd session one trace at a time; stops as soon as\n\
@@ -197,7 +193,6 @@ fn cmd_batch(
     let cfg = BatchConfig {
         workers: workers as usize,
         use_cache,
-        ..BatchConfig::default()
     };
     let out = server.diagnose_batch(&jobs, &cfg);
     for (i, d) in out.diagnoses.iter().enumerate() {
@@ -605,145 +600,8 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         // alongside ordinary diagnose/batch traffic. The subcommand
         // exists so fleet deployments read as what they are.
         Some("serve-shard") if args.len() >= 3 => cmd_serve(&args[2], args),
-        Some("coordinate") if args.len() >= 3 => cmd_fleet_coordinate(&args[2], args),
-        Some("submit") if args.len() >= 3 => cmd_fleet_submit(&args[2], args),
         Some("route") if args.len() >= 3 => cmd_fleet_route(&args[2], args),
         _ => usage(),
-    }
-}
-
-fn print_shard_reports(outcome: &lazy_snorlax::FleetOutcome) {
-    for r in &outcome.shard_reports {
-        match &r.error {
-            None => println!(
-                "shard {}: {} failing + {} successful traces",
-                r.shard, r.failing_routed, r.successful_routed
-            ),
-            Some((round, e)) => println!("shard {}: FAILED in {round} round ({e})", r.shard),
-        }
-    }
-    println!(
-        "merged: {} patterns over {} failing / {} successful traces, {} shard(s) failed",
-        outcome.merged_stats.len(),
-        outcome.merged_stats.failing_traces(),
-        outcome.merged_stats.successful_traces(),
-        outcome.failed_shards()
-    );
-}
-
-/// One collection as a report for the fleet router.
-fn fleet_report(c: &CollectionOutcome) -> FleetReport {
-    FleetReport {
-        failure: c.failure.clone(),
-        failing: c.failing.clone(),
-        successful: c.successful.clone(),
-    }
-}
-
-fn cmd_fleet_coordinate(id: &str, args: &[String]) -> ExitCode {
-    let Some(s) = find_scenario(id) else {
-        eprintln!("unknown bug id {id} (see `snorlax corpus`)");
-        return ExitCode::FAILURE;
-    };
-    let shards = opt_u64(args, "--shards", 2).max(1) as usize;
-    let first_seed = opt_u64(args, "--seed", 0);
-    println!("bug: {} — {}", s.id, s.description);
-    let server = DiagnosisServer::new(&s.module, ServerConfig::default());
-    let collector = CollectionClient::new(&server, VmConfig::default());
-    let Some(col) = collector.collect(first_seed, 1000, 10, 0) else {
-        eprintln!("the bug did not manifest within the run budget");
-        return ExitCode::FAILURE;
-    };
-    println!(
-        "observed: {} ({} failing + {} successful traces, {} in-process shards)\n",
-        col.failure,
-        col.failing.len(),
-        col.successful.len(),
-        shards
-    );
-    let router = FleetRouter::in_process(&s.module, ServerConfig::default(), shards);
-    let outcome = match router.route(&fleet_report(&col)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fleet diagnosis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", outcome.diagnosis.render(&s.module));
-    println!();
-    print_shard_reports(&outcome);
-    // Determinism is the whole point: prove it on every invocation.
-    match server.diagnose(&col.failure, &col.failing, &col.successful) {
-        Ok(single) if single.render(&s.module) == outcome.diagnosis.render(&s.module) => {
-            println!("sharded report is byte-identical to single-node: yes");
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!("sharded report DIVERGED from single-node diagnosis");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("single-node cross-check failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_fleet_submit(id: &str, args: &[String]) -> ExitCode {
-    let Some(s) = find_scenario(id) else {
-        eprintln!("unknown bug id {id} (see `snorlax corpus`)");
-        return ExitCode::FAILURE;
-    };
-    let Some(addrs) = opt_str(args, "--addrs") else {
-        eprintln!(
-            "fleet submit needs --addrs HOST:PORT,HOST:PORT \
-             (start shards with `snorlax fleet serve-shard <bug-id>`)"
-        );
-        return ExitCode::from(2);
-    };
-    let first_seed = opt_u64(args, "--seed", 0);
-    let mut shards: Vec<ShardConn<'_>> = Vec::new();
-    for addr in addrs.split(',').filter(|a| !a.is_empty()) {
-        match RemoteClient::connect(addr) {
-            Ok(c) => shards.push(ShardConn::Remote(c)),
-            Err(e) => {
-                eprintln!("cannot connect to shard at {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if shards.is_empty() {
-        eprintln!("--addrs named no shards");
-        return ExitCode::from(2);
-    }
-    println!("bug: {} — {}", s.id, s.description);
-    // Collection stays local, as with `snorlax submit`; only the three
-    // fleet rounds cross the wire.
-    let server = DiagnosisServer::new(&s.module, ServerConfig::default());
-    let collector = CollectionClient::new(&server, VmConfig::default());
-    let Some(col) = collector.collect(first_seed, 1000, 10, 0) else {
-        eprintln!("the bug did not manifest within the run budget");
-        return ExitCode::FAILURE;
-    };
-    println!(
-        "observed: {} ({} failing + {} successful traces across {} remote shards)\n",
-        col.failure,
-        col.failing.len(),
-        col.successful.len(),
-        shards.len()
-    );
-    let router = FleetRouter::new(&s.module, ServerConfig::default(), shards);
-    match router.route(&fleet_report(&col)) {
-        Ok(outcome) => {
-            print!("{}", outcome.diagnosis.render(&s.module));
-            println!();
-            print_shard_reports(&outcome);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fleet diagnosis failed: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -800,29 +658,49 @@ fn cmd_fleet_route(id: &str, args: &[String]) -> ExitCode {
         router.shard_count()
     );
 
-    let fleet_reports: Vec<FleetReport> = collections.iter().map(fleet_report).collect();
+    let fleet_reports: Vec<FleetReport> = collections
+        .iter()
+        .map(|c| FleetReport {
+            failure: c.failure.clone(),
+            failing: c.failing.clone(),
+            successful: c.successful.clone(),
+        })
+        .collect();
     let outcomes = router.route_all(&fleet_reports);
 
     let mut failed = false;
     for (i, (out, col)) in outcomes.iter().zip(&collections).enumerate() {
         match out {
             Ok(o) => {
-                let routed = o.diagnosis.render(&s.module);
+                for r in &o.shard_reports {
+                    if let Some((round, e)) = &r.error {
+                        println!(
+                            "report {i}: shard {} FAILED in {round} round ({e})",
+                            r.shard
+                        );
+                    }
+                }
+                // A degraded route can still render like single-node,
+                // so a failed shard fails the command on its own.
+                let shards_failed = o.failed_shards();
+                failed |= shards_failed > 0;
+                let root = o
+                    .diagnosis
+                    .root_cause()
+                    .map_or_else(|| "none".to_string(), |sc| sc.pattern.signature());
+                print!("report {i}: root cause [{root}], {shards_failed} shard(s) failed, ");
                 // Determinism is the whole point: every routed report
                 // must match what a single node would have said.
                 match server.diagnose(&col.failure, &col.failing, &col.successful) {
-                    Ok(single) if single.render(&s.module) == routed => println!(
-                        "report {i}: root cause [{}], byte-identical to single-node: yes",
-                        o.diagnosis
-                            .root_cause()
-                            .map_or_else(|| "none".to_string(), |sc| sc.pattern.signature())
-                    ),
+                    Ok(single) if single.render(&s.module) == o.diagnosis.render(&s.module) => {
+                        println!("byte-identical to single-node: yes");
+                    }
                     Ok(_) => {
-                        println!("report {i}: DIVERGED from single-node diagnosis");
+                        println!("DIVERGED from single-node diagnosis");
                         failed = true;
                     }
                     Err(e) => {
-                        println!("report {i}: single-node cross-check failed ({e})");
+                        println!("single-node cross-check failed ({e})");
                         failed = true;
                     }
                 }

@@ -64,8 +64,6 @@ pub struct BatchConfig {
     /// Share an incremental points-to cache across jobs. Off, every
     /// job solves its scope from scratch (still in parallel).
     pub use_cache: bool,
-    /// Solved-scope retention of the shared cache.
-    pub cache_capacity: usize,
 }
 
 impl Default for BatchConfig {
@@ -73,7 +71,6 @@ impl Default for BatchConfig {
         BatchConfig {
             workers: 0,
             use_cache: true,
-            cache_capacity: PointsToCache::DEFAULT_CAPACITY,
         }
     }
 }
@@ -162,7 +159,7 @@ impl<'m> DiagnosisServer<'m> {
         let workers = cfg.resolved_workers(jobs.len());
         let cache = cfg
             .use_cache
-            .then(|| SharedCache::with_capacity(cfg.cache_capacity));
+            .then(|| SharedCache::with_capacity(PointsToCache::DEFAULT_CAPACITY));
         // Jobs of one batch typically share success corpora; the memo
         // processes each distinct snapshot once across the whole batch.
         let memo = SnapshotMemo::new();

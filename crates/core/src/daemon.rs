@@ -62,8 +62,7 @@ use crate::streaming::{
 use lazy_ir::{Module, Pc};
 use lazy_trace::wire::{fnv1a32, fnv1a32_with};
 use lazy_trace::{
-    decode_snapshot, decode_snapshot_view, encode_snapshot, resolve_workers, SnapshotView,
-    TraceSnapshot,
+    decode_snapshot_view, encode_snapshot, resolve_workers, SnapshotView, TraceSnapshot,
 };
 use lazy_vm::{DeadlockParty, Failure, FailureKind};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -510,18 +509,6 @@ impl FrameAssembler {
 // ---------------------------------------------------------------------
 // Request/response payload codec.
 
-/// One decoded diagnosis request: the failure plus its snapshots, owned
-/// (they arrived over a socket).
-#[derive(Clone, Debug)]
-pub struct DiagnoseRequest {
-    /// The failure the client observed.
-    pub failure: Failure,
-    /// Snapshots from failing executions.
-    pub failing: Vec<TraceSnapshot>,
-    /// Snapshots from successful executions at the failure breakpoint.
-    pub successful: Vec<TraceSnapshot>,
-}
-
 /// A bounds-checked reader over one request or reply payload: every
 /// read returns a typed [`FrameError`] instead of running past the end.
 pub(crate) struct Cursor<'a> {
@@ -683,7 +670,11 @@ pub(crate) fn encode_snapshots(out: &mut Vec<u8>, snaps: &[TraceSnapshot]) {
     }
 }
 
-pub(crate) fn decode_snapshots(c: &mut Cursor<'_>) -> Result<Vec<TraceSnapshot>, DiagnosisError> {
+/// Decodes a snapshot list into borrowed [`SnapshotView`]s. Thread
+/// trace bytes stay in `c`'s underlying buffer; nothing is copied.
+pub(crate) fn decode_snapshots_view<'a>(
+    c: &mut Cursor<'a>,
+) -> Result<Vec<SnapshotView<'a>>, DiagnosisError> {
     let n = c.u32().map_err(DiagnosisError::Frame)? as usize;
     // Each snapshot record carries at least its length word: clamp the
     // declared count before sizing anything by it.
@@ -699,35 +690,14 @@ pub(crate) fn decode_snapshots(c: &mut Cursor<'_>) -> Result<Vec<TraceSnapshot>,
         // The embedded `LZTR` encoding is self-validating; corruption
         // that survived the frame checksum is caught here as a typed
         // wire error for *this* request alone.
-        snaps.push(decode_snapshot(wire)?);
-    }
-    Ok(snaps)
-}
-
-/// Decodes a snapshot list into borrowed [`SnapshotView`]s — the
-/// zero-copy twin of [`decode_snapshots`]. Thread trace bytes stay in
-/// `c`'s underlying buffer; nothing is copied.
-pub(crate) fn decode_snapshots_view<'a>(
-    c: &mut Cursor<'a>,
-) -> Result<Vec<SnapshotView<'a>>, DiagnosisError> {
-    let n = c.u32().map_err(DiagnosisError::Frame)? as usize;
-    if n > c.remaining() / 4 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload(
-            "snapshot count",
-        )));
-    }
-    let mut snaps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = c.u32().map_err(DiagnosisError::Frame)? as usize;
-        let wire = c.take(len).map_err(DiagnosisError::Frame)?;
         snaps.push(decode_snapshot_view(wire)?);
     }
     Ok(snaps)
 }
 
-/// [`DiagnoseRequest`] over borrowed snapshot views: the failure is
-/// owned (a few words), the trace payloads borrow from the request
-/// frame's bytes.
+/// One decoded diagnosis request: the failure is owned (a few words),
+/// the snapshot views borrow their trace bytes from the request
+/// frame's payload.
 pub struct DiagnoseRequestView<'a> {
     /// The failure the client observed.
     pub failure: Failure,
@@ -796,25 +766,6 @@ pub fn encode_diagnose_request(
     out
 }
 
-/// Decodes a [`FrameKind::Diagnose`] request payload.
-pub fn decode_diagnose_request(payload: &[u8]) -> Result<DiagnoseRequest, DiagnosisError> {
-    let mut c = Cursor::new(payload);
-    let req = decode_diagnose_cursor(&mut c)?;
-    c.done().map_err(DiagnosisError::Frame)?;
-    Ok(req)
-}
-
-fn decode_diagnose_cursor(c: &mut Cursor<'_>) -> Result<DiagnoseRequest, DiagnosisError> {
-    let failure = decode_failure(c).map_err(DiagnosisError::Frame)?;
-    let failing = decode_snapshots(c)?;
-    let successful = decode_snapshots(c)?;
-    Ok(DiagnoseRequest {
-        failure,
-        failing,
-        successful,
-    })
-}
-
 /// Encodes a [`FrameKind::Batch`] request payload from borrowed jobs.
 pub fn encode_batch_request(jobs: &[BatchJob<'_>]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -825,23 +776,6 @@ pub fn encode_batch_request(jobs: &[BatchJob<'_>]) -> Vec<u8> {
         out.extend_from_slice(&body);
     }
     out
-}
-
-/// Decodes a [`FrameKind::Batch`] request payload.
-pub fn decode_batch_request(payload: &[u8]) -> Result<Vec<DiagnoseRequest>, DiagnosisError> {
-    let mut c = Cursor::new(payload);
-    let n = c.u32().map_err(DiagnosisError::Frame)? as usize;
-    if n > c.remaining() / 4 {
-        return Err(DiagnosisError::Frame(FrameError::BadPayload("job count")));
-    }
-    let mut jobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = c.u32().map_err(DiagnosisError::Frame)? as usize;
-        let body = c.take(len).map_err(DiagnosisError::Frame)?;
-        jobs.push(decode_diagnose_request(body)?);
-    }
-    c.done().map_err(DiagnosisError::Frame)?;
-    Ok(jobs)
 }
 
 /// Encodes a [`FrameKind::BatchReport`] payload: per job, an ok flag
@@ -1917,11 +1851,15 @@ mod tests {
         let failure = sample_failure();
         let snaps = vec![sample_snapshot(), sample_snapshot()];
         let payload = encode_diagnose_request(&failure, &snaps, &snaps[..1]);
-        let req = decode_diagnose_request(&payload).unwrap();
+        let req = decode_diagnose_request_view(&payload).unwrap();
         assert_eq!(req.failure, failure);
         assert_eq!(req.failing.len(), 2);
         assert_eq!(req.successful.len(), 1);
-        assert_eq!(req.failing[0].threads[0].bytes, vec![1, 2, 3]);
+        assert_eq!(req.failing[0], snaps[0].view());
+        assert_eq!(req.failing[0].threads[0].bytes, [1, 2, 3]);
+        // The views borrow the trace bytes from the payload itself.
+        let bytes = req.successful[0].threads[0].bytes.as_ptr_range();
+        assert!(payload.as_ptr_range().contains(&bytes.start));
     }
 
     #[test]
@@ -1960,7 +1898,7 @@ mod tests {
                 at_ns: 1,
             };
             let payload = encode_diagnose_request(&f, &[], &[]);
-            let back = decode_diagnose_request(&payload).unwrap();
+            let back = decode_diagnose_request_view(&payload).unwrap();
             assert_eq!(back.failure, f);
         }
     }
@@ -1991,9 +1929,10 @@ mod tests {
         // record and the two count/length words).
         let n = payload.len();
         payload[n - 10] ^= 0x40;
-        match decode_diagnose_request(&payload) {
+        match decode_diagnose_request_view(&payload) {
             Err(DiagnosisError::Wire(_)) => {}
-            other => panic!("expected a wire error, got {other:?}"),
+            Err(e) => panic!("expected a wire error, got {e:?}"),
+            Ok(_) => panic!("expected a wire error, got a decoded request"),
         }
     }
 
@@ -2284,9 +2223,9 @@ mod tests {
         // failing-count word sits right after the failure record.
         let off = payload.len() - 8;
         payload[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_diagnose_request(&payload).is_err());
+        assert!(decode_diagnose_request_view(&payload).is_err());
         let mut batch = encode_batch_request(&[]);
         batch[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_batch_request(&batch).is_err());
+        assert!(decode_batch_request_views(&batch).is_err());
     }
 }

@@ -65,8 +65,7 @@
 //! slot until daemon restart.
 
 use crate::daemon::{
-    decode_failure, decode_snapshots, encode_failure, encode_snapshots, push_u32, push_u64, Cursor,
-    FrameError, FrameKind,
+    encode_failure, encode_snapshots, push_u32, push_u64, Cursor, FrameError, FrameKind,
 };
 use crate::error::DiagnosisError;
 use crate::patterns::{AccessKind, AtomKind, BugPattern, DeadlockEdge, PatternEvent};
@@ -584,8 +583,8 @@ impl<'m> FleetRouter<'m> {
     }
 
     /// A router over `n` in-process warm shards — the pure sharded
-    /// dataflow with no transport, used by determinism tests and the
-    /// `snorlax fleet coordinate` CLI.
+    /// dataflow with no transport, used by determinism tests and by
+    /// `snorlax fleet route --shards N`.
     pub fn in_process(module: &'m Module, cfg: ServerConfig, n: usize) -> FleetRouter<'m> {
         let shards = (0..n)
             .map(|_| ShardConn::local(module, cfg.clone()))
@@ -1147,31 +1146,6 @@ pub fn encode_fleet_collect(
     out
 }
 
-/// Decodes a [`FrameKind::FleetCollect`] payload.
-///
-/// # Errors
-///
-/// Frame errors for structural corruption; wire errors when an embedded
-/// snapshot fails its own checksum.
-pub fn decode_fleet_collect(
-    payload: &[u8],
-) -> Result<(u64, crate::daemon::DiagnoseRequest), DiagnosisError> {
-    let mut c = Cursor::new(payload);
-    let session = c.u64().map_err(DiagnosisError::Frame)?;
-    let failure = decode_failure(&mut c).map_err(DiagnosisError::Frame)?;
-    let failing = decode_snapshots(&mut c)?;
-    let successful = decode_snapshots(&mut c)?;
-    c.done().map_err(DiagnosisError::Frame)?;
-    Ok((
-        session,
-        crate::daemon::DiagnoseRequest {
-            failure,
-            failing,
-            successful,
-        },
-    ))
-}
-
 /// Decodes a [`FrameKind::FleetCollect`] payload without copying trace
 /// bytes: the returned views borrow from `payload`.
 ///
@@ -1179,7 +1153,7 @@ pub fn decode_fleet_collect(
 ///
 /// Frame errors for structural corruption; wire errors when an embedded
 /// snapshot fails its own checksum.
-pub(crate) fn decode_fleet_collect_view(
+pub fn decode_fleet_collect_view(
     payload: &[u8],
 ) -> Result<(u64, crate::daemon::DiagnoseRequestView<'_>), DiagnosisError> {
     let mut c = Cursor::new(payload);

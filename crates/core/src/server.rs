@@ -41,22 +41,6 @@ pub struct ServerConfig {
     /// use PSB-sharded decode. `0` means one per available core. The
     /// result is bit-identical regardless of the setting.
     pub decode_workers: usize,
-    /// Streaming mode: consecutive scored folds the same top pattern
-    /// must lead before the sequential test may declare convergence
-    /// (clamped to at least 1).
-    pub stability_window: usize,
-    /// Streaming mode: fixed confidence for the early-exit bound. The
-    /// top pattern's F1 lead over the runner-up must exceed the
-    /// Hoeffding-style threshold `sqrt(ln(1/(1-confidence)) / (2n))`
-    /// at sample size `n` before convergence is declared.
-    pub confidence: f64,
-    /// Streaming mode: capacity of the seeded reservoir sampler that
-    /// bounds the retained success corpus (clamped to at least 1).
-    pub stream_reservoir: usize,
-    /// Streaming mode: seed for the reservoir sampler, so replaying the
-    /// same report order reproduces the same retained corpus bit for
-    /// bit.
-    pub stream_seed: u64,
     /// Daemon session stores (`StreamHub`, `FleetShard`): sessions idle
     /// longer than this are evicted on the next admission or sweep, so
     /// an abandoned client cannot permanently occupy a capacity slot.
@@ -70,10 +54,6 @@ impl Default for ServerConfig {
             success_factor: 10,
             max_candidates: 128,
             decode_workers: 0,
-            stability_window: 3,
-            confidence: 0.95,
-            stream_reservoir: 256,
-            stream_seed: 0x5eed_5eed_5eed_5eed,
             session_ttl: std::time::Duration::from_secs(300),
         }
     }

@@ -40,18 +40,18 @@
 //! clearing the same Hoeffding bound substitutes for it, so
 //! exactly-tied F1 leaders can still converge.
 //!
-//! Both knobs live in [`ServerConfig`]
-//! (`stability_window`, `confidence`). The rule itself is exposed as
-//! [`SequentialRule`] so the law "early exit never fires before
-//! `stability_window` observations" can be property-tested without
-//! building trace corpora.
+//! Both knobs are constants beside the stream state that uses them
+//! (`STABILITY_WINDOW` = 3, `CONFIDENCE` = 0.95). The rule itself is
+//! exposed as [`SequentialRule`], with both as parameters, so the law
+//! "early exit never fires before `stability_window` observations" can
+//! be property-tested without building trace corpora.
 //!
 //! ## Memory bound
 //!
 //! Long-running streams see unbounded success runs. A seeded
 //! reservoir sampler ([`Reservoir`], Algorithm R over a fixed
 //! [`XorShift64`]) bounds the retained success corpus at
-//! `ServerConfig::stream_reservoir` traces. While the stream fits the
+//! `STREAM_RESERVOIR` (256) traces. While the stream fits the
 //! reservoir the retained set is the exact arrival-order prefix, so
 //! streaming diagnosis is *byte-identical* to batch diagnosis over the
 //! consumed reports (`tests/streaming.rs` pins this on the corpus);
@@ -351,16 +351,32 @@ struct StreamState {
     converged: bool,
 }
 
+/// Consecutive scored folds the same top pattern must lead before the
+/// sequential test may declare convergence.
+const STABILITY_WINDOW: usize = 3;
+
+/// Fixed confidence for the early-exit bound: the top pattern's lead
+/// must clear [`hoeffding_lead_bound`] at this confidence.
+const CONFIDENCE: f64 = 0.95;
+
+/// Capacity of the seeded reservoir that bounds a stream's retained
+/// success corpus.
+const STREAM_RESERVOIR: usize = 256;
+
+/// Seed of the reservoir sampler, so replaying the same report order
+/// reproduces the same retained corpus bit for bit.
+const STREAM_SEED: u64 = 0x5eed_5eed_5eed_5eed;
+
 impl StreamState {
-    fn new(cfg: &ServerConfig) -> StreamState {
+    fn new() -> StreamState {
         StreamState {
             failure: None,
             failing: Vec::new(),
-            successes: Reservoir::new(cfg.stream_reservoir, cfg.stream_seed),
+            successes: Reservoir::new(STREAM_RESERVOIR, STREAM_SEED),
             reports_consumed: 0,
             reports_rejected: 0,
             lead_history: Vec::new(),
-            rule: SequentialRule::new(cfg.stability_window, cfg.confidence),
+            rule: SequentialRule::new(STABILITY_WINDOW, CONFIDENCE),
             converged: false,
         }
     }
@@ -563,7 +579,7 @@ pub struct StreamingDiagnoser<'s, 'm> {
 impl<'s, 'm> StreamingDiagnoser<'s, 'm> {
     /// A fresh stream for `failure`, scoring against `server`.
     pub fn new(server: &'s DiagnosisServer<'m>, failure: &Failure) -> StreamingDiagnoser<'s, 'm> {
-        let mut state = StreamState::new(server.config());
+        let mut state = StreamState::new();
         state.failure = Some(failure.clone());
         StreamingDiagnoser { server, state }
     }
@@ -731,7 +747,7 @@ impl<'m> StreamHub<'m> {
         self.sessions
             .get_or_insert_with(session, || {
                 lazy_obs::counter!("stream.sessions_total", 1u64);
-                Arc::new(Mutex::new(StreamState::new(self.server.config())))
+                Arc::new(Mutex::new(StreamState::new()))
             })
             .map_err(|AtCapacity| DiagnosisError::Remote {
                 detail: format!("stream hub at capacity: {MAX_SESSIONS} open sessions"),

@@ -11,11 +11,10 @@
 //! instrumented with, all zero-dependency and feature-gated:
 //!
 //! * [`span!`] — an RAII wall-time span. Each call site owns one static
-//!   [`SpanSite`]; closing a span updates the site's lock-free
+//!   [`SpanSite`]; closing a span updates only the site's lock-free
 //!   aggregates (count, total, min, max, a fixed-bucket microsecond
-//!   duration histogram) and appends a [`SpanRecord`] to the executing
-//!   thread's own buffer. No cross-thread lock is contended on the hot
-//!   path.
+//!   duration histogram). No lock is taken on the hot path and nothing
+//!   is kept per thread.
 //! * [`counter!`] — a monotonic [`Counter`] (one relaxed `fetch_add`).
 //! * [`histogram!`] — a fixed-bucket [`Histogram`] with power-of-two
 //!   bounds ([`report::bucket_bound`]), so bucket math is a
@@ -44,18 +43,12 @@ pub mod report;
 #[cfg(feature = "enabled")]
 mod site;
 #[cfg(feature = "enabled")]
-pub use site::{
-    current_thread_tid, drain_current_thread_records, drain_span_records, snapshot, Counter,
-    Histogram, SpanGuard, SpanRecord, SpanSite, MAX_THREAD_RECORDS,
-};
+pub use site::{snapshot, Counter, Histogram, SpanGuard, SpanSite};
 
 #[cfg(not(feature = "enabled"))]
 mod noop;
 #[cfg(not(feature = "enabled"))]
-pub use noop::{
-    current_thread_tid, drain_current_thread_records, drain_span_records, snapshot, Counter,
-    Histogram, SpanGuard, SpanRecord, SpanSite,
-};
+pub use noop::{snapshot, Counter, Histogram, SpanGuard, SpanSite};
 
 pub use report::{
     CounterSnapshot, HistogramSnapshot, PipelineTelemetry, SpanSnapshot, TelemetryReport, BUCKETS,

@@ -78,42 +78,8 @@ impl SpanSite {
 /// costs literally nothing).
 pub struct SpanGuard(());
 
-/// One completed span record. The no-op build never produces any; the
-/// type exists so test helpers compile under both configurations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The span site's name.
-    pub name: &'static str,
-    /// Telemetry-internal thread id.
-    pub tid: u64,
-    /// Enclosing open spans at close time.
-    pub depth: u32,
-    /// Start time, nanoseconds since the telemetry epoch.
-    pub start_ns: u64,
-    /// Wall duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
 /// Always the empty snapshot.
 #[must_use]
 pub fn snapshot() -> PipelineTelemetry {
     PipelineTelemetry::default()
-}
-
-/// Always empty.
-#[must_use]
-pub fn drain_span_records() -> Vec<SpanRecord> {
-    Vec::new()
-}
-
-/// Always empty.
-#[must_use]
-pub fn drain_current_thread_records() -> Vec<SpanRecord> {
-    Vec::new()
-}
-
-/// Always `u64::MAX` (no thread ids are assigned).
-#[must_use]
-pub fn current_thread_tid() -> u64 {
-    u64::MAX
 }

@@ -1,16 +1,14 @@
-//! The live (`enabled`) implementation: per-site atomics, per-thread
-//! span buffers, and the global registry the snapshot walks.
+//! The live (`enabled`) implementation: per-site atomics and the
+//! global registry of sites the snapshot walks. Nothing is kept per
+//! thread.
 //!
 //! Hot-path cost model (the "leave it on in production" budget):
 //!
 //! * a counter add is one relaxed `fetch_add` plus one relaxed load for
 //!   the registration flag;
 //! * a histogram observation is three relaxed `fetch_add`s;
-//! * a span is an `Instant::now` pair, four relaxed RMWs on its site,
-//!   one bucket `fetch_add`, and a push onto the executing thread's own
-//!   record buffer — no cross-thread lock is ever contended on the hot
-//!   path (each thread locks only its own buffer; the snapshotting
-//!   thread is the only other party, and snapshots are rare).
+//! * a span is an `Instant::now` pair, four relaxed RMWs on its site
+//!   and one bucket `fetch_add` — no lock is taken on the hot path.
 //!
 //! Sites register themselves with the global registry on first touch
 //! (a single swap on an `AtomicBool`), so unreached instrumentation
@@ -19,10 +17,9 @@
 use crate::report::{
     bucket_index, CounterSnapshot, HistogramSnapshot, PipelineTelemetry, SpanSnapshot, BUCKETS,
 };
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// A monotonic counter. Declare through [`crate::counter!`], which
@@ -165,18 +162,15 @@ impl SpanSite {
     }
 
     /// Opens a span; the returned guard records the wall time from now
-    /// until it drops, attributed to this site and the current thread.
+    /// until it drops, attributed to this site.
     #[inline]
     pub fn enter(&'static self) -> SpanGuard {
         if !self.registered.load(Ordering::Relaxed) {
             self.register();
         }
-        let start_ns = now_ns();
-        let _ = THREAD.try_with(|t| t.depth.set(t.depth.get() + 1));
         SpanGuard {
             site: self,
             start: Instant::now(),
-            start_ns,
         }
     }
 
@@ -221,129 +215,24 @@ impl SpanSite {
 }
 
 /// RAII guard returned by [`SpanSite::enter`] / [`crate::span!`]. On
-/// drop it updates the site aggregates and appends a [`SpanRecord`] to
-/// the executing thread's buffer.
+/// drop it updates the site aggregates.
 pub struct SpanGuard {
     site: &'static SpanSite,
     start: Instant,
-    start_ns: u64,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.site.record(dur_ns);
-        // TLS may already be torn down during thread exit; the site
-        // aggregate above is the part that must never be lost.
-        let _ = THREAD.try_with(|t| {
-            let depth = t.depth.get().saturating_sub(1);
-            t.depth.set(depth);
-            t.push(SpanRecord {
-                name: self.site.name,
-                tid: t.tid,
-                depth,
-                start_ns: self.start_ns,
-                dur_ns,
-            });
-        });
     }
 }
 
-/// One completed span, as recorded in its thread's buffer. `depth` is
-/// the number of enclosing spans still open on the same thread when
-/// this one closed (0 = top level), which is what lets tests rebuild
-/// the span tree and check nesting invariants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The span site's name.
-    pub name: &'static str,
-    /// Telemetry-internal id of the recording thread (assigned in
-    /// first-use order, not the OS tid).
-    pub tid: u64,
-    /// Enclosing open spans on this thread at close time.
-    pub depth: u32,
-    /// Start time, nanoseconds since the process's telemetry epoch.
-    pub start_ns: u64,
-    /// Wall duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Cap on buffered span records per live thread, and on the one
-/// buffer that holds the records of every exited thread; beyond it,
-/// records are dropped (counted in `obs.span_records_dropped_total`)
-/// while site aggregates keep accumulating.
-pub const MAX_THREAD_RECORDS: usize = 8192;
-
-static DROPPED: Counter = Counter::new("obs.span_records_dropped_total");
-
-struct ThreadRecords {
-    records: Mutex<Vec<SpanRecord>>,
-}
-
-struct ThreadState {
-    tid: u64,
-    depth: Cell<u32>,
-    shared: Arc<ThreadRecords>,
-}
-
-impl ThreadState {
-    fn push(&self, r: SpanRecord) {
-        let mut buf = lock(&self.shared.records);
-        if buf.len() < MAX_THREAD_RECORDS {
-            buf.push(r);
-        } else {
-            drop(buf);
-            DROPPED.add(1);
-        }
-    }
-}
-
-/// A thread that exits leaves the registry, so a process that spawns
-/// threads per request holds one buffer per *live* thread, not one per
-/// thread it ever ran. Its undrained records move to the shared
-/// retired buffer, which [`drain_span_records`] also drains.
-impl Drop for ThreadState {
-    fn drop(&mut self) {
-        let reg = registry();
-        let mut threads = lock(&reg.threads);
-        threads.retain(|b| !Arc::ptr_eq(b, &self.shared));
-        let mut records = std::mem::take(&mut *lock(&self.shared.records));
-        let mut retired = lock(&reg.retired);
-        let room = MAX_THREAD_RECORDS.saturating_sub(retired.len());
-        let dropped = records.len().saturating_sub(room);
-        records.truncate(room);
-        retired.append(&mut records);
-        drop(retired);
-        drop(threads);
-        if dropped > 0 {
-            DROPPED.add(dropped as u64);
-        }
-    }
-}
-
-thread_local! {
-    static THREAD: ThreadState = {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(ThreadRecords {
-            records: Mutex::new(Vec::new()),
-        });
-        lock(&registry().threads).push(Arc::clone(&shared));
-        ThreadState { tid, depth: Cell::new(0), shared }
-    };
-}
-
-/// The global registry of every touched site and every live thread's
-/// buffer. Lock order: `threads`, then a thread's `records`, then
-/// `retired`.
+/// The global registry of every touched site.
 struct Registry {
     counters: Mutex<Vec<&'static Counter>>,
     histograms: Mutex<Vec<&'static Histogram>>,
     spans: Mutex<Vec<&'static SpanSite>>,
-    threads: Mutex<Vec<Arc<ThreadRecords>>>,
-    /// Undrained records of exited threads, at most
-    /// [`MAX_THREAD_RECORDS`].
-    retired: Mutex<Vec<SpanRecord>>,
 }
 
 fn registry() -> &'static Registry {
@@ -352,8 +241,6 @@ fn registry() -> &'static Registry {
         counters: Mutex::new(Vec::new()),
         histograms: Mutex::new(Vec::new()),
         spans: Mutex::new(Vec::new()),
-        threads: Mutex::new(Vec::new()),
-        retired: Mutex::new(Vec::new()),
     })
 }
 
@@ -362,14 +249,6 @@ fn registry() -> &'static Registry {
 /// collection well-formed, so recovering the guard is always safe.
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Nanoseconds since the process-wide telemetry epoch (the first
-/// observation anywhere).
-#[must_use]
-pub fn now_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Takes an aggregated snapshot of every registered counter, histogram,
@@ -410,89 +289,55 @@ pub fn snapshot() -> PipelineTelemetry {
     }
 }
 
-/// Drains every thread's span-record buffer, including the records
-/// finished threads left behind (up to [`MAX_THREAD_RECORDS`] of them
-/// between drains). Records are returned grouped by thread, each
-/// thread's records in completion order. Meant for tests and offline
-/// span-tree analysis, not the hot path.
-#[must_use]
-pub fn drain_span_records() -> Vec<SpanRecord> {
-    let reg = registry();
-    let threads = lock(&reg.threads);
-    let mut out = Vec::new();
-    for buf in threads.iter() {
-        out.append(&mut lock(&buf.records));
-    }
-    out.append(&mut lock(&reg.retired));
-    out
-}
-
-/// Drains only the calling thread's span records (deterministic in
-/// single-threaded tests even when other tests run concurrently).
-#[must_use]
-pub fn drain_current_thread_records() -> Vec<SpanRecord> {
-    THREAD
-        .try_with(|t| std::mem::take(&mut *lock(&t.shared.records)))
-        .unwrap_or_default()
-}
-
-/// The telemetry-internal id of the calling thread.
-#[must_use]
-pub fn current_thread_tid() -> u64 {
-    THREAD.try_with(|t| t.tid).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn thread_buffers() -> usize {
-        lock(&registry().threads).len()
+    fn closed(name: &str) -> u64 {
+        snapshot().span(name).map_or(0, |s| s.count)
     }
 
-    fn count(records: &[SpanRecord], name: &str) -> usize {
-        records.iter().filter(|r| r.name == name).count()
-    }
-
-    /// The only test in this crate that records spans or spawns
-    /// threads, so the registry's counts are exact here.
+    /// The only test in this crate that records these span names, so
+    /// their counts are exact here. A span closed on any thread, live
+    /// or since exited, is counted once in its site's aggregate: there
+    /// is no per-thread cap and nothing is dropped.
     #[test]
-    fn exited_threads_leave_the_registry_and_their_records_stay_drainable() {
-        // Register this thread's own buffer and start from empty buffers.
-        drop(crate::span!("registry.caller"));
-        let _ = drain_span_records();
-        let before = thread_buffers();
-
+    fn spans_on_every_thread_reach_their_site_aggregate() {
         // 1,000 short-lived threads, one after another, each closing
-        // one span. Joining a thread runs its exit, so none of them is
-        // alive when the count is read.
+        // one span and exiting before the next starts.
         for _ in 0..1_000 {
-            std::thread::spawn(|| drop(crate::span!("registry.short_lived")))
+            std::thread::spawn(|| drop(crate::span!("aggregate.short_lived")))
                 .join()
                 .unwrap();
-            assert_eq!(thread_buffers(), before, "an exited thread left its buffer");
         }
-        let records = drain_span_records();
-        assert_eq!(count(&records, "registry.short_lived"), 1_000);
+        assert_eq!(closed("aggregate.short_lived"), 1_000);
 
-        // Past the cap, exited threads' records are dropped and counted.
-        let dropped_before = DROPPED.get();
+        // Ten chatty threads at once, 1,000 spans each, released
+        // together so they race to register the site on first touch.
         let (threads, spans) = (10, 1_000);
-        for _ in 0..threads {
-            std::thread::spawn(move || {
-                for _ in 0..spans {
-                    drop(crate::span!("registry.chatty"));
-                }
-            })
-            .join()
-            .unwrap();
-        }
-        let records = drain_span_records();
-        assert_eq!(count(&records, "registry.chatty"), MAX_THREAD_RECORDS);
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..spans {
+                        drop(crate::span!("aggregate.chatty"));
+                    }
+                });
+            }
+        });
+        let t = snapshot();
+        let chatty = t.span("aggregate.chatty").unwrap();
+        assert_eq!(chatty.count, (threads * spans) as u64);
+        assert_eq!(chatty.buckets.iter().sum::<u64>(), chatty.count);
+        assert!(chatty.min_ns <= chatty.max_ns && chatty.max_ns <= chatty.total_ns);
+        let sites = lock(&registry().spans)
+            .iter()
+            .filter(|s| s.name == "aggregate.chatty")
+            .count();
         assert_eq!(
-            DROPPED.get() - dropped_before,
-            (threads * spans - MAX_THREAD_RECORDS) as u64
+            sites, 1,
+            "a site registers once, however many threads touch it"
         );
-        assert_eq!(thread_buffers(), before);
     }
 }

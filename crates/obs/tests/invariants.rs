@@ -4,18 +4,16 @@
 //! * a histogram's bucket counts always sum to its observation count,
 //!   its sum to the sum of observed values, and every observation lands
 //!   in a bucket whose bound admits it;
-//! * span trees nest — a span closed inside another span on the same
-//!   thread starts no earlier and lasts no longer than its parent;
+//! * span trees nest in the aggregates — over any nesting shape, each
+//!   level's span count is the product of the widths at and above it,
+//!   and each level's total time is at most its parent level's;
 //! * snapshots merge same-named sites and stay sorted by name.
 //!
 //! Telemetry state is global to the process, so every test here uses
 //! metric names unique to itself and asserts only on those.
 #![cfg(feature = "enabled")]
 
-use lazy_obs::{
-    drain_current_thread_records, snapshot, Counter, Histogram, PipelineTelemetry, SpanRecord,
-    BUCKETS,
-};
+use lazy_obs::{snapshot, Counter, Histogram, PipelineTelemetry, BUCKETS};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,23 +65,46 @@ proptest! {
         }
     }
 
-    /// Nested spans nest: each child's record starts at or after its
-    /// parent's start and its duration never exceeds the parent's.
+    /// Nested spans nest in the aggregates: `shape[l]` spans open at
+    /// level `l` inside each level-`l - 1` span, so level `l` closes
+    /// the product of the widths at and above it, and its children run
+    /// one after another inside their parent, so its total time is at
+    /// most its parent level's.
     #[test]
-    fn span_trees_nest(shape in prop::collection::vec(1usize..4, 1..6)) {
-        // Drain anything this thread recorded earlier so the tree under
-        // test is the only content.
-        let _ = drain_current_thread_records();
+    fn span_trees_nest(shape in prop::collection::vec(1usize..4, 1..=LEVELS.len())) {
+        let before = snapshot();
         nest(&shape, 0);
-        let records = drain_current_thread_records();
-        prop_assert!(!records.is_empty());
-        check_nesting(&records)?;
+        let delta = snapshot().since(&before);
+        let (mut expected, mut parent_total) = (1u64, u64::MAX);
+        for (&width, name) in shape.iter().zip(LEVELS) {
+            expected *= width as u64;
+            let Some(level) = delta.span(name) else {
+                return Err(TestCaseError::fail(format!("no spans recorded under {name}")));
+            };
+            prop_assert_eq!(level.count, expected, "span count at {}", name);
+            prop_assert!(
+                level.total_ns <= parent_total,
+                "{} totals {} ns, more than its parent level's {} ns",
+                name,
+                level.total_ns,
+                parent_total
+            );
+            parent_total = level.total_ns;
+        }
     }
 }
 
+/// One span name per nesting level.
+const LEVELS: [&str; 5] = [
+    "test.nest.level0",
+    "test.nest.level1",
+    "test.nest.level2",
+    "test.nest.level3",
+    "test.nest.level4",
+];
+
 /// Builds `shape[level]` sibling spans at each level, recursing one
-/// level deeper inside each (bounded depth, so the macro's per-site
-/// statics stay manageable).
+/// level deeper inside each.
 fn nest(shape: &[usize], level: usize) {
     let Some(&width) = shape.get(level) else {
         return;
@@ -94,46 +115,12 @@ fn nest(shape: &[usize], level: usize) {
             1 => lazy_obs::span!("test.nest.level1"),
             2 => lazy_obs::span!("test.nest.level2"),
             3 => lazy_obs::span!("test.nest.level3"),
-            _ => lazy_obs::span!("test.nest.deep"),
+            _ => lazy_obs::span!("test.nest.level4"),
         };
         // A sliver of work so durations are nonzero on coarse clocks.
         std::hint::black_box((0..64).sum::<u64>());
         nest(shape, level + 1);
     }
-}
-
-/// Records arrive in completion order; a record's parent is the first
-/// later record one level shallower that started no later than it.
-fn check_nesting(records: &[SpanRecord]) -> Result<(), TestCaseError> {
-    for (i, r) in records.iter().enumerate() {
-        if r.depth == 0 {
-            continue;
-        }
-        let parent = records[i + 1..]
-            .iter()
-            .find(|p| p.tid == r.tid && p.depth == r.depth - 1 && p.start_ns <= r.start_ns);
-        let Some(p) = parent else {
-            return Err(TestCaseError::fail(format!(
-                "span {} at depth {} closed with no enclosing parent",
-                r.name, r.depth
-            )));
-        };
-        prop_assert!(
-            r.start_ns >= p.start_ns,
-            "child {} started before parent {}",
-            r.name,
-            p.name
-        );
-        prop_assert!(
-            r.dur_ns <= p.dur_ns,
-            "child {} ({} ns) outlasted parent {} ({} ns)",
-            r.name,
-            r.dur_ns,
-            p.name,
-            p.dur_ns
-        );
-    }
-    Ok(())
 }
 
 /// (buckets, count, sum) of the invariants histogram in a snapshot.

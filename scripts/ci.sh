@@ -8,8 +8,8 @@
 #                          SWAR/scalar packet-scan differential, the
 #                          streaming-law proptests, the snapshot
 #                          aggregation differential, the fan-out
-#                          helper's contract and the bounded telemetry
-#                          thread registry
+#                          helper's contract, the telemetry site
+#                          aggregates and the payload-decoder fuzzers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,8 +25,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-snorlax --lib processing::aggregate_tests
   echo "==> fast lane: fan-out helper contract (order, per-task panics, inline, concurrency)"
   cargo test --release -q -p lazy-trace --lib fanout::tests
-  echo "==> fast lane: exited threads leave the telemetry registry"
+  echo "==> fast lane: every closed span reaches its site aggregate, on any thread"
   cargo test --release -q -p lazy-obs --lib site::tests
+  echo "==> fast lane: payload-decoder fuzzing (arbitrary, cut, flipped, forged-count payloads)"
+  cargo test --release -q -p lazy-snorlax --test payload_fuzz
   echo "CI OK (fast lane)"
   exit 0
 fi
@@ -141,11 +143,15 @@ for field in '"telemetry_enabled": true' '"telemetry":' '"daemon.request"' \
 done
 rm -f /tmp/BENCH_daemon_ci.json
 
-# Fleet smoke over real TCP: two snorlaxd shards on ephemeral loopback
-# ports, one coordinated diagnosis routed across them, then a graceful
-# drain of both. The CLI prints the merged root cause only when the
-# three-round protocol and the statistics merge both worked.
-echo "==> fleet loopback smoke (2 shards)"
+# Fleet smoke over real TCP: two warm shard daemons on ephemeral
+# loopback ports, 4 interleaved reports routed through one FleetRouter,
+# then a graceful drain of both. The CLI names each report's root cause
+# and failed-shard count and cross-checks it against single-node, so
+# one grep per report proves byte-identity with no shard lost; the
+# shard-stats lines (answered over the FleetStats frame) prove the
+# persistent points-to caches actually went warm across reports. The
+# CLI exits non-zero on any divergence or failed shard.
+echo "==> fleet loopback routing smoke (2 shards, 4 reports)"
 SHARD1_LOG=$(mktemp); SHARD2_LOG=$(mktemp)
 ./target/release/snorlax fleet serve-shard mysql-3596 --port 0 > "$SHARD1_LOG" &
 SHARD1_PID=$!
@@ -162,41 +168,12 @@ done
   || { echo "FAIL: fleet shards never reported their addresses"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
 # Capture rather than pipe into grep -q: -q exits at first match and
 # the still-printing CLI would die on EPIPE.
-FLEET_OUT=$(./target/release/snorlax fleet submit mysql-3596 --addrs "$ADDR1,$ADDR2")
-grep -q "root cause" <<< "$FLEET_OUT" \
-  || { echo "FAIL: fleet diagnosis reported no root cause"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
-grep -q "0 shard(s) failed" <<< "$FLEET_OUT" \
+ROUTE_OUT=$(./target/release/snorlax fleet route mysql-3596 --addrs "$ADDR1,$ADDR2" --reports 4) \
+  || { echo "FAIL: fleet route exited nonzero (a shard failed or a report diverged)"; echo "$ROUTE_OUT"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
+[[ "$(grep -c "root cause \[" <<< "$ROUTE_OUT")" == "4" ]] && ! grep -q "root cause \[none\]" <<< "$ROUTE_OUT" \
+  || { echo "FAIL: not every routed report named a root cause"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
+[[ "$(grep -c ", 0 shard(s) failed, " <<< "$ROUTE_OUT")" == "4" ]] \
   || { echo "FAIL: a fleet shard failed during the smoke"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
-./target/release/snorlax submit --addr "$ADDR1" --shutdown > /dev/null
-./target/release/snorlax submit --addr "$ADDR2" --shutdown > /dev/null
-wait "$SHARD1_PID" || { echo "FAIL: shard 1 exited nonzero"; exit 1; }
-wait "$SHARD2_PID" || { echo "FAIL: shard 2 exited nonzero"; exit 1; }
-grep -q "snorlaxd drained:" "$SHARD1_LOG" && grep -q "snorlaxd drained:" "$SHARD2_LOG" \
-  || { echo "FAIL: a fleet shard did not report a graceful drain"; exit 1; }
-rm -f "$SHARD1_LOG" "$SHARD2_LOG"
-
-# Concurrent-fleet smoke: two warm shard daemons on ephemeral ports, 4
-# interleaved reports routed through one FleetRouter. The CLI
-# cross-checks every routed report against single-node, so one grep
-# per report proves byte-identity; the shard-stats lines (answered
-# over the FleetStats frame) prove the persistent points-to caches
-# actually went warm across reports.
-echo "==> concurrent fleet routing smoke (2 shards, 4 reports)"
-SHARD1_LOG=$(mktemp); SHARD2_LOG=$(mktemp)
-./target/release/snorlax fleet serve-shard mysql-3596 --port 0 > "$SHARD1_LOG" &
-SHARD1_PID=$!
-./target/release/snorlax fleet serve-shard mysql-3596 --port 0 > "$SHARD2_LOG" &
-SHARD2_PID=$!
-ADDR1=""; ADDR2=""
-for _ in $(seq 1 100); do
-  ADDR1=$(sed -n 's/^snorlaxd listening on \([0-9.:]*\) .*/\1/p' "$SHARD1_LOG")
-  ADDR2=$(sed -n 's/^snorlaxd listening on \([0-9.:]*\) .*/\1/p' "$SHARD2_LOG")
-  [[ -n "$ADDR1" && -n "$ADDR2" ]] && break
-  sleep 0.1
-done
-[[ -n "$ADDR1" && -n "$ADDR2" ]] \
-  || { echo "FAIL: routing shards never reported their addresses"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
-ROUTE_OUT=$(./target/release/snorlax fleet route mysql-3596 --addrs "$ADDR1,$ADDR2" --reports 4)
 [[ "$(grep -c "byte-identical to single-node: yes" <<< "$ROUTE_OUT")" == "4" ]] \
   || { echo "FAIL: not every routed report was byte-identical to single-node"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
 grep -q "4 reports routed" <<< "$ROUTE_OUT" \
@@ -205,8 +182,10 @@ grep -Eq "shard [01]: .* [1-9][0-9]* exact " <<< "$ROUTE_OUT" \
   || { echo "FAIL: no shard reported warm points-to cache hits"; kill "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null; exit 1; }
 ./target/release/snorlax submit --addr "$ADDR1" --shutdown > /dev/null
 ./target/release/snorlax submit --addr "$ADDR2" --shutdown > /dev/null
-wait "$SHARD1_PID" || { echo "FAIL: routing shard 1 exited nonzero"; exit 1; }
-wait "$SHARD2_PID" || { echo "FAIL: routing shard 2 exited nonzero"; exit 1; }
+wait "$SHARD1_PID" || { echo "FAIL: shard 1 exited nonzero"; exit 1; }
+wait "$SHARD2_PID" || { echo "FAIL: shard 2 exited nonzero"; exit 1; }
+grep -q "snorlaxd drained:" "$SHARD1_LOG" && grep -q "snorlaxd drained:" "$SHARD2_LOG" \
+  || { echo "FAIL: a fleet shard did not report a graceful drain"; exit 1; }
 rm -f "$SHARD1_LOG" "$SHARD2_LOG"
 
 echo "==> fleet bench smoke (--fast)"

@@ -18,7 +18,7 @@ mod util;
 use lazy_diagnosis::ir::Module;
 use lazy_diagnosis::snorlax::daemon::{encode_frame, read_frame, serve, DaemonConfig, FrameKind};
 use lazy_diagnosis::snorlax::fleet::{
-    decode_fleet_collect, decode_fleet_finalize, decode_fleet_patterns, encode_collect_reply,
+    decode_fleet_collect_view, decode_fleet_finalize, decode_fleet_patterns, encode_collect_reply,
     encode_finalize_reply, encode_patterns_reply, FinalizeReply,
 };
 use lazy_diagnosis::snorlax::statistics::PatternCounts;
@@ -267,9 +267,9 @@ fn spawn_evil_finalize_shard(
             };
             let reply = match kind {
                 FrameKind::FleetCollect => {
-                    let (session, req) = decode_fleet_collect(&payload).unwrap();
+                    let (session, req) = decode_fleet_collect_view(&payload).unwrap();
                     let r = shard
-                        .collect(session, &req.failure, &req.failing, &req.successful)
+                        .collect_views(session, &req.failure, &req.failing, &req.successful)
                         .unwrap();
                     encode_frame(FrameKind::FleetCollectAck, &encode_collect_reply(&r))
                 }
