@@ -1132,12 +1132,12 @@ fn process(
             Err(e) => error(e),
         },
         FrameKind::FleetCollect => match decode_fleet_collect_view(payload) {
-            Ok((session, req)) => {
-                match fleet.collect_views(session, &req.failure, &req.failing, &req.successful) {
-                    Ok(r) => (FrameKind::FleetCollectAck, encode_collect_reply(&r)),
-                    Err(e) => error(e),
-                }
-            }
+            Ok((session, module_fp, req)) => match fleet.check_module(module_fp).and_then(|()| {
+                fleet.collect_views(session, &req.failure, &req.failing, &req.successful)
+            }) {
+                Ok(r) => (FrameKind::FleetCollectAck, encode_collect_reply(&r)),
+                Err(e) => error(e),
+            },
             Err(e) => error(e),
         },
         FrameKind::FleetPatterns => match decode_fleet_patterns(payload) {

@@ -233,6 +233,28 @@ impl<'m> FleetShard<'m> {
         self.sessions.evicted()
     }
 
+    /// Checks that a router's report is for the module this shard
+    /// serves, before round 1 decodes any of its snapshots: a shard
+    /// started for another module would otherwise answer every round.
+    ///
+    /// # Errors
+    ///
+    /// [`DiagnosisError::Fleet`] naming both fingerprints on a mismatch.
+    pub(crate) fn check_module(&self, module_fp: u64) -> Result<(), DiagnosisError> {
+        let module = self.server.module();
+        let served = module_fingerprint(module);
+        if module_fp == served {
+            return Ok(());
+        }
+        Err(DiagnosisError::Fleet {
+            detail: format!(
+                "module fingerprint mismatch: the report is for module {module_fp:#018x}, \
+                 this shard serves {} ({served:#018x})",
+                module.name
+            ),
+        })
+    }
+
     /// A snapshot of the shard's lifecycle and warm-cache counters.
     pub fn stats(&self) -> ShardStats {
         let cache = self.pts_cache.stats();
@@ -403,16 +425,24 @@ impl<'m> ShardConn<'m> {
     pub fn local(module: &'m Module, cfg: ServerConfig) -> ShardConn<'m> {
         ShardConn::Local(Box::new(FleetShard::new(module, cfg)))
     }
+    /// Round 1; the shard first checks `module_fp` against its module
+    /// ([`FleetShard::check_module`], on either side of the wire).
     fn collect(
         &mut self,
         session: u64,
+        module_fp: u64,
         failure: &Failure,
         failing: &[TraceSnapshot],
         successful: &[TraceSnapshot],
     ) -> Result<CollectReply, DiagnosisError> {
         match self {
-            ShardConn::Local(s) => s.collect(session, failure, failing, successful),
-            ShardConn::Remote(c) => c.fleet_collect(session, failure, failing, successful),
+            ShardConn::Local(s) => {
+                s.check_module(module_fp)?;
+                s.collect(session, failure, failing, successful)
+            }
+            ShardConn::Remote(c) => {
+                c.fleet_collect(session, module_fp, failure, failing, successful)
+            }
         }
     }
 
@@ -568,7 +598,9 @@ pub struct FleetRouter<'m> {
 impl<'m> FleetRouter<'m> {
     /// A router over `shards`. `cfg` governs the global success cap
     /// (`success_factor`) and must match the shards' configuration for
-    /// candidate truncation to agree.
+    /// candidate truncation to agree. A shard, local or remote, that
+    /// serves another module than `module` fails every report's round 1
+    /// with a typed [`DiagnosisError::Fleet`].
     pub fn new(
         module: &'m Module,
         cfg: ServerConfig,
@@ -624,6 +656,7 @@ impl<'m> FleetRouter<'m> {
         lazy_obs::counter!("fleet.router.reports_total", 1u64);
         run_rounds(
             self.module,
+            key.module_fp,
             &self.cfg,
             &self.shards,
             &report.failure,
@@ -686,6 +719,7 @@ impl<'m> FleetRouter<'m> {
 /// per-shard mutexes serialize individual rounds.
 fn run_rounds(
     module: &Module,
+    module_fp: u64,
     cfg: &ServerConfig,
     shards: &[Mutex<ShardConn<'_>>],
     failure: &Failure,
@@ -743,7 +777,7 @@ fn run_rounds(
             "collect",
             &mut reports,
             on_live_shards(shards, &alive, |k, shard| {
-                shard.collect(session, failure, &parts[k].0, &parts[k].1)
+                shard.collect(session, module_fp, failure, &parts[k].0, &parts[k].1)
             }),
         )
     };
@@ -1131,22 +1165,26 @@ fn decode_pcs(c: &mut Cursor<'_>) -> Result<Vec<Pc>, FrameError> {
     Ok(out)
 }
 
-/// Encodes a [`FrameKind::FleetCollect`] payload.
+/// Encodes a [`FrameKind::FleetCollect`] payload: the session, the
+/// router's [`module_fingerprint`], then the report.
 pub fn encode_fleet_collect(
     session: u64,
+    module_fp: u64,
     failure: &Failure,
     failing: &[TraceSnapshot],
     successful: &[TraceSnapshot],
 ) -> Vec<u8> {
     let mut out = Vec::new();
     push_u64(&mut out, session);
+    push_u64(&mut out, module_fp);
     encode_failure(&mut out, failure);
     encode_snapshots(&mut out, failing);
     encode_snapshots(&mut out, successful);
     out
 }
 
-/// Decodes a [`FrameKind::FleetCollect`] payload without copying trace
+/// Decodes a [`FrameKind::FleetCollect`] payload into the session, the
+/// router's module fingerprint and the report, without copying trace
 /// bytes: the returned views borrow from `payload`.
 ///
 /// # Errors
@@ -1155,12 +1193,13 @@ pub fn encode_fleet_collect(
 /// snapshot fails its own checksum.
 pub fn decode_fleet_collect_view(
     payload: &[u8],
-) -> Result<(u64, crate::daemon::DiagnoseRequestView<'_>), DiagnosisError> {
+) -> Result<(u64, u64, crate::daemon::DiagnoseRequestView<'_>), DiagnosisError> {
     let mut c = Cursor::new(payload);
     let session = c.u64().map_err(DiagnosisError::Frame)?;
+    let module_fp = c.u64().map_err(DiagnosisError::Frame)?;
     let request = crate::daemon::decode_diagnose_view_cursor(&mut c)?;
     c.done().map_err(DiagnosisError::Frame)?;
-    Ok((session, request))
+    Ok((session, module_fp, request))
 }
 
 /// Encodes a [`FrameKind::FleetCollectAck`] payload.

@@ -11,6 +11,9 @@
 //!   instances in different threads are ordered only when their windows
 //!   do not overlap (step 3). Per the coarse interleaving hypothesis,
 //!   that partial order suffices for the target events of real bugs.
+//!   Only instructions with a pointer operand keep instances: the
+//!   pattern events of Figure 1 (R, W, L) are exactly those, and no
+//!   later step reads the instances of any other instruction.
 
 use crate::error::DiagnosisError;
 use lazy_ir::{Module, Pc};
@@ -52,6 +55,15 @@ impl DynInstance {
 /// A fully processed snapshot, stored flat: the sorted executed set
 /// doubles as the index into one buffer of retained instances, so a
 /// trace owns three heap blocks however many instructions it executed.
+///
+/// **Retention rule.** Every executed PC enters `executed`, but only
+/// instructions with a pointer operand keep dynamic instances: loads,
+/// stores, frees and mutex, rwlock and condvar operations — exactly
+/// what [`lazy_ir::InstKind::pointer_operand`] and
+/// [`crate::patterns::access_kind`] accept. Every reader of instances
+/// (pattern generation and presence, the trigger fallback, event
+/// ordering, replay recording) asks only about such PCs, so the rule
+/// loses nothing diagnosis can see.
 #[derive(Clone, Debug)]
 pub struct ProcessedTrace {
     /// Executed-instruction set (step 2), ascending.
@@ -59,9 +71,10 @@ pub struct ProcessedTrace {
     /// `executed[i]`'s instances are `instances[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<usize>,
     /// Dynamic instances (step 3) grouped by instruction in `executed`
-    /// order. Within an instruction: thread records in snapshot order,
-    /// each record's instances in program order, capped per record to
-    /// the most recent [`ProcessedTrace::MAX_INSTANCES_PER_PC`].
+    /// order; empty for instructions without a pointer operand. Within
+    /// an instruction: thread records in snapshot order, each record's
+    /// instances in program order, capped per record to the most recent
+    /// [`ProcessedTrace::MAX_INSTANCES_PER_PC`].
     instances: Vec<DynInstance>,
     /// The thread that triggered the snapshot.
     pub trigger_tid: u32,
@@ -69,7 +82,7 @@ pub struct ProcessedTrace {
     pub trigger_pc: Pc,
     /// Virtual time the snapshot was taken.
     pub taken_at: u64,
-    /// Total decoded events across threads.
+    /// Total decoded events across threads, every instruction counted.
     pub event_count: usize,
     /// Per-thread decode resynchronization counts (diagnostic).
     pub resyncs: u32,
@@ -142,7 +155,9 @@ impl ProcessedTrace {
         }
     }
 
-    /// The dynamic instances of `pc` (empty if never decoded).
+    /// The dynamic instances of `pc`: empty if `pc` never executed, and
+    /// also if its instruction has no pointer operand (the retention
+    /// rule above; such a PC is still in [`ProcessedTrace::executed`]).
     pub fn instances_of(&self, pc: Pc) -> &[DynInstance] {
         let Ok(i) = self.executed.binary_search(&pc) else {
             return &[];
@@ -163,21 +178,20 @@ impl ProcessedTrace {
     }
 
     /// The final (failure-adjacent) instance of the trigger PC in the
-    /// trigger thread.
+    /// trigger thread. `None` when the trigger instruction has no
+    /// pointer operand (a breakpoint on a branch, say): diagnosis asks
+    /// only for the trigger instance of a failing access.
     pub fn trigger_instance(&self) -> Option<DynInstance> {
         self.last_instance_in_thread(self.trigger_pc, self.trigger_tid)
     }
 
     /// The latest observed time (`time.lo`) of any instance of `pc`:
     /// the key that orders a root cause's events (`O_S`), wherever the
-    /// trace lives.
+    /// trace lives. `None` for a PC without instances, which includes
+    /// every instruction without a pointer operand; pattern events all
+    /// have one.
     pub fn last_time(&self, pc: Pc) -> Option<u64> {
         self.instances_of(pc).iter().map(|i| i.time.lo).max()
-    }
-
-    /// Returns `true` if `pc` executed in a thread other than `tid`.
-    pub fn executed_remotely(&self, pc: Pc, tid: u32) -> bool {
-        self.instances_of(pc).iter().any(|i| i.tid != tid)
     }
 
     /// Bytes this trace keeps alive: the struct plus the capacity of its
@@ -192,20 +206,26 @@ impl ProcessedTrace {
 
 /// Steps 2–3 over one snapshot's decoded thread records, hashing
 /// nothing per event. Each PC's dense slot comes from the
-/// [`ExecIndex`]; one reverse pass per record marks the last
-/// [`ProcessedTrace::MAX_INSTANCES_PER_PC`] events of each PC as kept;
-/// [`Aggregator::finish`] then lays the kept instances out flat with
-/// one counting sort by slot, reading each one's window and resume
-/// bound from its record.
+/// [`ExecIndex`]; one reverse pass per record notes each slot the
+/// record executed and marks as kept the last
+/// [`ProcessedTrace::MAX_INSTANCES_PER_PC`] events of each slot whose
+/// instruction has a pointer operand (the retention rule of
+/// [`ProcessedTrace`]); [`Aggregator::finish`] then lays the kept
+/// instances out flat with one counting sort by slot, reading each
+/// one's window and resume bound from its record.
 struct Aggregator<'i> {
     index: &'i ExecIndex,
     taken_at: u64,
-    /// Per slot: the stamp of the record that last kept an event of it
-    /// and how many that record kept.
+    /// Per slot: the stamp of the record that last touched it and how
+    /// many more of its events that record may keep (0 for a slot
+    /// without a pointer operand).
     seen: Vec<(u32, u32)>,
     /// Records offered so far, rejected ones included: each record's
     /// stamp, so 0 in `seen` means no record yet.
     stamp: u32,
+    /// The slots each record executed, once per record; a rejected
+    /// record's are dropped with it.
+    touched: Vec<usize>,
     /// Kept events as `(slot, seq)`: records in snapshot order, each in
     /// program order.
     kept: Vec<(usize, usize)>,
@@ -221,6 +241,7 @@ impl<'i> Aggregator<'i> {
             taken_at,
             seen: vec![(0, 0); index.slot_count()],
             stamp: 0,
+            touched: Vec::new(),
             kept: Vec::new(),
             records: Vec::new(),
         }
@@ -232,7 +253,7 @@ impl<'i> Aggregator<'i> {
     fn push_record(&mut self, tid: u32, trace: DecodedTrace) -> Result<(), DecodeError> {
         self.stamp = self.stamp.wrapping_add(1);
         let record = self.stamp;
-        let start = self.kept.len();
+        let (start, touched_start) = (self.kept.len(), self.touched.len());
         for (seq, e) in trace.events.iter().enumerate().rev() {
             let seen = &mut self.seen;
             let Some((slot, cell)) = self
@@ -241,6 +262,7 @@ impl<'i> Aggregator<'i> {
                 .and_then(|slot| Some((slot, seen.get_mut(slot)?)))
             else {
                 self.kept.truncate(start);
+                self.touched.truncate(touched_start);
                 let pc = e.pc;
                 recycle_events(trace);
                 return Err(DecodeError::Desync(format!(
@@ -248,10 +270,16 @@ impl<'i> Aggregator<'i> {
                 )));
             };
             if cell.0 != record {
-                *cell = (record, 0);
+                let cap = if self.index.has_pointer_operand(slot) {
+                    ProcessedTrace::MAX_INSTANCES_PER_PC as u32
+                } else {
+                    0
+                };
+                *cell = (record, cap);
+                self.touched.push(slot);
             }
-            if (cell.1 as usize) < ProcessedTrace::MAX_INSTANCES_PER_PC {
-                cell.1 += 1;
+            if cell.1 > 0 {
+                cell.1 -= 1;
                 self.kept.push((slot, seq));
             }
         }
@@ -264,7 +292,12 @@ impl<'i> Aggregator<'i> {
     /// [`ProcessedTrace`]. The counting sort is stable, so each PC's
     /// instances keep record order, then program order.
     fn finish(self) -> (Vec<Pc>, Vec<usize>, Vec<DynInstance>) {
-        let mut cursor = vec![0usize; self.seen.len()];
+        // Per slot: `usize::MAX` until an accepted record executed it,
+        // then its kept count, then where its instances start.
+        let mut cursor = vec![usize::MAX; self.seen.len()];
+        for &slot in &self.touched {
+            cursor[slot] = 0;
+        }
         for &(slot, _) in &self.kept {
             cursor[slot] += 1;
         }
@@ -272,7 +305,7 @@ impl<'i> Aggregator<'i> {
         let mut offsets = vec![0];
         let mut total = 0;
         for (slot, n) in cursor.iter_mut().enumerate() {
-            if *n > 0 {
+            if *n != usize::MAX {
                 executed.push(self.index.slot_pc(slot));
                 let count = *n;
                 *n = total;
@@ -427,6 +460,7 @@ pub fn process_snapshot_view(
     // per-snapshot `event_count` sums exactly when dedup hits are zero).
     lazy_obs::counter!("decode.snapshots_total", 1u64);
     lazy_obs::counter!("decode.events_total", event_count);
+    lazy_obs::counter!("process.instances_retained_total", instances.len());
     lazy_obs::counter!("decode.resyncs_total", resyncs);
     lazy_obs::histogram!("decode.snapshot_events", event_count);
     Ok(ProcessedTrace {
@@ -721,14 +755,27 @@ mod aggregate_tests {
     use lazy_trace::DecodedEvent;
     use proptest::prelude::*;
 
-    /// A straight-line module with `n` instructions.
-    fn module_with(n: usize) -> Module {
-        let mut mb = ModuleBuilder::new("flat");
+    /// A straight-line module with `n` instructions (then a halt) that
+    /// cycles load, copy, store, add, lock, unlock: every other
+    /// instruction has a pointer operand, so PCs that keep instances
+    /// sit between PCs that only enter the executed set.
+    fn mixed_module(n: usize) -> Module {
+        let mut mb = ModuleBuilder::new("mixed");
+        let g = mb.global("g", Type::I64, vec![0]);
+        let mu = mb.global("mu", Type::Mutex, vec![]);
         let mut f = mb.function("main", vec![], Type::Void);
         let e = f.entry();
         f.switch_to(e);
+        let mut v = Operand::const_int(0);
         for k in 0..n {
-            let _ = f.copy(Operand::const_int(k as i64));
+            match k % 6 {
+                0 => v = f.load(g.clone(), Type::I64),
+                1 => v = f.copy(v),
+                2 => f.store(g.clone(), v.clone(), Type::I64),
+                3 => v = f.add(v, Operand::const_int(1)),
+                4 => f.lock(mu.clone()),
+                _ => f.unlock(mu.clone()),
+            }
         }
         f.halt();
         f.finish();
@@ -737,6 +784,19 @@ mod aggregate_tests {
 
     fn pcs_of(m: &Module) -> Vec<Pc> {
         m.all_insts().map(|(i, _)| i.pc).collect()
+    }
+
+    fn has_pointer_operand(m: &Module, pc: Pc) -> bool {
+        m.inst(pc)
+            .is_some_and(|i| i.kind.pointer_operand().is_some())
+    }
+
+    /// The module's PCs split into those with a pointer operand and the
+    /// rest, each ascending.
+    fn split_pcs(m: &Module) -> (Vec<Pc>, Vec<Pc>) {
+        pcs_of(m)
+            .into_iter()
+            .partition(|&pc| has_pointer_operand(m, pc))
     }
 
     fn trace_of(
@@ -768,8 +828,9 @@ mod aggregate_tests {
     }
 
     /// Per record: events as (pc choice, window start, window width).
-    /// Three in four events draw from three hot PCs, so long records
-    /// push a PC past the 64-instance cap; records may be empty.
+    /// Three in four events draw from three hot PCs (a load, a copy and
+    /// a store), so long records push a PC past the 64-instance cap;
+    /// records may be empty.
     fn arb_records() -> impl Strategy<Value = Vec<Vec<(usize, u64, u64)>>> {
         let event = (0usize..4, 0usize..24, 0u64..10_000, 0u64..500)
             .prop_map(|(hot, pc, lo, w)| (if hot < 3 { hot } else { pc }, lo, w));
@@ -779,12 +840,16 @@ mod aggregate_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// The reference keeps every PC's instances; the dense pass must
+        /// agree with it on the executed set and, for PCs with a pointer
+        /// operand, on instances and resume bounds, and keep no
+        /// instances for any other PC.
         #[test]
         fn dense_pass_matches_per_event_hash_reference(
             raw in arb_records(),
             taken_at in 0u64..20_000,
         ) {
-            let m = module_with(24);
+            let m = mixed_module(24);
             let index = ExecIndex::build(&m);
             let pcs = pcs_of(&m);
             // Distinct thread ids, not in record order.
@@ -810,6 +875,13 @@ mod aggregate_tests {
             want_executed.sort_unstable();
             prop_assert_eq!(&got.executed, &want_executed);
             for &pc in &pcs {
+                if !has_pointer_operand(&m, pc) {
+                    prop_assert!(
+                        got.instances_of(pc).is_empty(),
+                        "{} has no pointer operand but kept instances", pc
+                    );
+                    continue;
+                }
                 let want = reference.instances.get(&pc).cloned().unwrap_or_default();
                 let have: Vec<(u32, usize, TimeBounds)> = got
                     .instances_of(pc)
@@ -839,42 +911,33 @@ mod aggregate_tests {
     /// resolves resume bounds within itself and is capped on its own;
     /// the `(tid, seq)`-keyed reference let the later record's times
     /// overwrite the earlier one's, so this is pinned here rather than
-    /// against it.
+    /// against it. A resume bound is the next event of any kind, so an
+    /// instruction that keeps no instances still bounds its
+    /// predecessor.
     #[test]
     fn repeated_thread_id_records_resolve_resume_bounds_per_record() {
-        let m = module_with(4);
+        let m = mixed_module(6);
         let index = ExecIndex::build(&m);
-        let pcs = pcs_of(&m);
-        let first = vec![ev(pcs[0], 10, 20), ev(pcs[1], 30, 40)];
+        let (ptr, other) = split_pcs(&m);
+        let first = vec![ev(ptr[0], 10, 20), ev(ptr[1], 30, 40)];
         let second = vec![
-            ev(pcs[2], 100, 200),
-            ev(pcs[1], 300, 400),
-            ev(pcs[3], 500, 600),
+            ev(other[0], 100, 200),
+            ev(ptr[1], 300, 400),
+            ev(other[1], 500, 600),
         ];
-        let t = trace_of(&index, &[(7, first), (7, second)], 9_000).unwrap();
-        let a = t.instances_of(pcs[0]);
+        let t = trace_of(&index, &[(7, first.clone()), (7, second.clone())], 9_000).unwrap();
+        let a = t.instances_of(ptr[0]);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].resume, 40, "next event of the same record");
-        let b = t.instances_of(pcs[1]);
+        let b = t.instances_of(ptr[1]);
         assert_eq!(
             b.iter().map(|i| (i.seq, i.resume)).collect::<Vec<_>>(),
             vec![(1, 9_000), (1, 600)],
             "record order; the first record's last event resumes at the snapshot time"
         );
-        let reference = reference::aggregate(
-            &[
-                (7, vec![ev(pcs[0], 10, 20), ev(pcs[1], 30, 40)]),
-                (
-                    7,
-                    vec![
-                        ev(pcs[2], 100, 200),
-                        ev(pcs[1], 300, 400),
-                        ev(pcs[3], 500, 600),
-                    ],
-                ),
-            ],
-            9_000,
-        );
+        assert_eq!(t.executed, vec![ptr[0], other[0], ptr[1], other[1]]);
+        assert!(t.instances_of(other[0]).is_empty() && t.instances_of(other[1]).is_empty());
+        let reference = reference::aggregate(&[(7, first), (7, second)], 9_000);
         assert_eq!(
             reference.resume_bound(7, 0),
             400,
@@ -882,15 +945,18 @@ mod aggregate_tests {
         );
     }
 
-    #[test]
-    fn unplaceable_pc_rejects_its_record_only() {
-        let m = module_with(4);
-        let index = ExecIndex::build(&m);
-        let pcs = pcs_of(&m);
-        let record = |events: Vec<DecodedEvent>| DecodedTrace {
+    fn record(events: Vec<DecodedEvent>) -> DecodedTrace {
+        DecodedTrace {
             events,
             ..DecodedTrace::default()
-        };
+        }
+    }
+
+    #[test]
+    fn unplaceable_pc_rejects_its_record_only() {
+        let m = mixed_module(6);
+        let index = ExecIndex::build(&m);
+        let (pcs, _) = split_pcs(&m);
         let mut agg = Aggregator::new(&index, 50);
         agg.push_record(1, record(vec![ev(pcs[0], 1, 2)])).unwrap();
         let stray = Pc(pcs[0].0 + 1);
@@ -911,6 +977,31 @@ mod aggregate_tests {
         assert_eq!(instances[0].tid, 1);
         assert!(instances[1..].iter().all(|i| i.tid == 3));
         assert_eq!(instances[1].seq, 70 - ProcessedTrace::MAX_INSTANCES_PER_PC);
+    }
+
+    /// A rejected record adds nothing to the executed set, neither the
+    /// PCs that keep instances nor those that only count as executed,
+    /// though the reverse pass met both before the unplaceable PC.
+    #[test]
+    fn rejected_record_leaves_no_executed_pc() {
+        let m = mixed_module(6);
+        let index = ExecIndex::build(&m);
+        let (ptr, other) = split_pcs(&m);
+        let mut agg = Aggregator::new(&index, 50);
+        agg.push_record(1, record(vec![ev(ptr[0], 1, 2)])).unwrap();
+        let stray = Pc(ptr[0].0 + 1);
+        let err = agg
+            .push_record(
+                2,
+                record(vec![ev(stray, 3, 4), ev(other[0], 5, 6), ev(ptr[1], 7, 8)]),
+            )
+            .unwrap_err();
+        assert!(matches!(err, DecodeError::Desync(_)), "{err:?}");
+        let (executed, offsets, instances) = agg.finish();
+        assert_eq!(executed, vec![ptr[0]]);
+        assert_eq!(offsets, vec![0, 1]);
+        assert_eq!(instances.len(), 1);
+        assert_eq!(instances[0].tid, 1);
     }
 
     #[test]

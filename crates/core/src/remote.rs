@@ -172,19 +172,24 @@ impl RemoteClient {
 
     /// Fleet round 1: opens shard session `session` on this daemon with
     /// the routed trace partition; returns the shard's executed set.
+    /// `module_fp` is the router's
+    /// [`module_fingerprint`](crate::fleet::module_fingerprint), which
+    /// the shard checks before it decodes anything.
     ///
     /// # Errors
     ///
     /// [`DiagnosisError::Remote`] when the shard rejects or fails the
-    /// round, [`DiagnosisError::Frame`] on transport failure.
+    /// round (a module mismatch included), [`DiagnosisError::Frame`] on
+    /// transport failure.
     pub fn fleet_collect(
         &mut self,
         session: u64,
+        module_fp: u64,
         failure: &Failure,
         failing: &[TraceSnapshot],
         successful: &[TraceSnapshot],
     ) -> Result<CollectReply, DiagnosisError> {
-        let payload = encode_fleet_collect(session, failure, failing, successful);
+        let payload = encode_fleet_collect(session, module_fp, failure, failing, successful);
         match self.roundtrip(FrameKind::FleetCollect, &payload)? {
             (FrameKind::FleetCollectAck, p) => {
                 decode_collect_reply(&p).map_err(DiagnosisError::Frame)

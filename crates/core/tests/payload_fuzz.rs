@@ -158,11 +158,20 @@ const CODECS: [(&str, Encode, Roundtrip); 15] = [
     ),
     (
         "decode_fleet_collect_view",
-        |s| encode_fleet_collect(s.session, &s.failure, &s.failing, &s.successful),
+        |s| {
+            encode_fleet_collect(
+                s.session,
+                s.module_fp,
+                &s.failure,
+                &s.failing,
+                &s.successful,
+            )
+        },
         |p| {
-            let (session, r) = decode_fleet_collect_view(p)?;
+            let (session, module_fp, r) = decode_fleet_collect_view(p)?;
             Ok(encode_fleet_collect(
                 session,
+                module_fp,
                 &r.failure,
                 &owned(&r.failing),
                 &owned(&r.successful),
@@ -295,6 +304,7 @@ fn run(name: &str, roundtrip: Roundtrip, bytes: &[u8]) -> Result<Option<Vec<u8>>
 /// The parts every valid payload in one case is encoded from.
 struct Sample {
     session: u64,
+    module_fp: u64,
     failure: Failure,
     failing: Vec<TraceSnapshot>,
     successful: Vec<TraceSnapshot>,
@@ -550,7 +560,7 @@ fn arb_stream() -> impl Strategy<Value = (ShardStats, StreamStatus, StreamFinish
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (
-        any::<u64>(),
+        any::<[u64; 2]>(),
         arb_failure(),
         prop::collection::vec(arb_snapshot(), 0..3),
         prop::collection::vec(arb_snapshot(), 0..3),
@@ -563,8 +573,9 @@ fn arb_sample() -> impl Strategy<Value = Sample> {
         arb_stream(),
     )
         .prop_map(
-            |(session, failure, failing, successful, jobs, results, replies, stream)| Sample {
-                session,
+            |(ids, failure, failing, successful, jobs, results, replies, stream)| Sample {
+                session: ids[0],
+                module_fp: ids[1],
                 failure,
                 failing,
                 successful,
@@ -680,9 +691,9 @@ fn decodes_to_what_was_encoded(s: &Sample) -> Result<(), TestCaseError> {
         })
         .collect();
     prop_assert_eq!(decode_batch_report(&report).unwrap(), results);
-    let (id, r) = decode_fleet_collect_view(&collect).unwrap();
+    let (id, module_fp, r) = decode_fleet_collect_view(&collect).unwrap();
     let back = (r.failure, owned(&r.failing), owned(&r.successful));
-    prop_assert_eq!((id, back), (s.session, request));
+    prop_assert_eq!((id, module_fp, back), (s.session, s.module_fp, request));
     let executed = (s.session, s.collect.executed.clone());
     prop_assert_eq!(
         decode_collect_reply(&collect_reply).unwrap(),

@@ -164,11 +164,16 @@ enum Transfer {
 /// **dense** `Vec` indexed by `(pc - TEXT_BASE) / PC_STRIDE` — the walk
 /// probes it once per decoded instruction, and a bounds-checked array
 /// load beats a `HashMap` probe by an order of magnitude on that path.
-/// Function-alignment gaps hold [`Transfer::Unmapped`].
+/// Function-alignment gaps hold [`Transfer::Unmapped`]. Beside each
+/// step the index records whether the slot's instruction has a pointer
+/// operand ([`ExecIndex::has_pointer_operand`]).
 #[derive(Clone, Debug)]
 pub struct ExecIndex {
     base: u64,
     steps: Vec<Transfer>,
+    /// Per slot: the instruction has a pointer operand
+    /// ([`InstKind::pointer_operand`]).
+    pointer: Vec<bool>,
 }
 
 impl ExecIndex {
@@ -177,6 +182,7 @@ impl ExecIndex {
         let base = Module::TEXT_BASE;
         let slots = (module.max_pc().0.saturating_sub(base) / Module::PC_STRIDE) as usize;
         let mut steps = vec![Transfer::Unmapped; slots];
+        let mut pointer = vec![false; slots];
         for func in module.functions() {
             // Empty blocks have no entry PC; a branch into one resolves
             // to NO_ENTRY, which sits below TEXT_BASE and therefore
@@ -211,13 +217,18 @@ impl ExecIndex {
                         _ => Transfer::Linear,
                     };
                     let slot = (inst.pc.0.saturating_sub(base) / Module::PC_STRIDE) as usize;
-                    if let Some(s) = steps.get_mut(slot) {
+                    if let (Some(s), Some(p)) = (steps.get_mut(slot), pointer.get_mut(slot)) {
                         *s = t;
+                        *p = inst.kind.pointer_operand().is_some();
                     }
                 }
             }
         }
-        ExecIndex { base, steps }
+        ExecIndex {
+            base,
+            steps,
+            pointer,
+        }
     }
 
     /// Number of dense PC slots: one per `PC_STRIDE` step from
@@ -245,6 +256,14 @@ impl ExecIndex {
     #[inline]
     pub fn slot_pc(&self, slot: usize) -> Pc {
         Pc(self.base + slot as u64 * Module::PC_STRIDE)
+    }
+
+    /// Whether the instruction at dense slot `slot` has a pointer
+    /// operand: a load, store or free, or a mutex, rwlock or condvar
+    /// operation. `false` for gaps and out-of-range slots.
+    #[inline]
+    pub fn has_pointer_operand(&self, slot: usize) -> bool {
+        self.pointer.get(slot).copied().unwrap_or(false)
     }
 
     #[inline]
@@ -2173,6 +2192,12 @@ mod tests {
                 let slot = index.slot(inst.pc).expect("every instruction has a slot");
                 assert!(slot < index.slot_count());
                 assert_eq!(index.slot_pc(slot), inst.pc);
+                assert_eq!(
+                    index.has_pointer_operand(slot),
+                    inst.kind.pointer_operand().is_some(),
+                    "pointer flag of {:?}",
+                    inst.pc
+                );
                 assert!(prev.is_none_or(|p| p < slot), "slots ascend with pcs");
                 prev = Some(slot);
             }
@@ -2182,6 +2207,7 @@ mod tests {
         assert_eq!(index.slot(Pc(Module::TEXT_BASE + 2)), None);
         assert_eq!(index.slot(module.max_pc()), None);
         assert_eq!(index.slot(Pc(u64::MAX - 3)), None);
+        assert!(!index.has_pointer_operand(index.slot_count()));
     }
 
     /// Asserts all three decoders agree exactly on `bytes`.

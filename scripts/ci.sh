@@ -7,9 +7,10 @@
 #   scripts/ci.sh --fast   the seconds-scale inner-loop lane: the
 #                          SWAR/scalar packet-scan differential, the
 #                          streaming-law proptests, the snapshot
-#                          aggregation differential, the fan-out
-#                          helper's contract, the telemetry site
-#                          aggregates and the payload-decoder fuzzers
+#                          aggregation differential and retention rule,
+#                          the fan-out helper's contract, the telemetry
+#                          site aggregates and the payload-decoder
+#                          fuzzers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,8 +22,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-trace --test scan_diff
   echo "==> fast lane: streaming-diagnosis law proptests"
   cargo test --release -q -p lazy-snorlax --test streaming_laws
-  echo "==> fast lane: dense snapshot aggregation vs the per-event-hash reference"
+  echo "==> fast lane: dense snapshot aggregation vs the per-event-hash reference (executed sets; instances on pointer-operand PCs only)"
   cargo test --release -q -p lazy-snorlax --lib processing::aggregate_tests
+  echo "==> fast lane: retention rule (corpus targets and access kinds have pointer operands; mysql-3596 traces keep <= 100 kB)"
+  cargo test --release -q --test retention
   echo "==> fast lane: fan-out helper contract (order, per-task panics, inline, concurrency)"
   cargo test --release -q -p lazy-trace --lib fanout::tests
   echo "==> fast lane: every closed span reaches its site aggregate, on any thread"
@@ -127,12 +130,13 @@ cargo run --release -q -p lazy-bench --bin daemon -- --reports 4 --rounds 1 --ou
 
 # Same artifact contract as the decode bench: the enabled flag, the
 # embedded telemetry object, the daemon's own request span, the
+# aggregation span and its retained-instance counter, the
 # per-connection lifecycle counters of the readiness loop, the
 # slow-writer lane's partial-frame resume counter, and the concurrent
 # submitter lane summary.
 echo "==> BENCH_daemon.json telemetry fields"
 for field in '"telemetry_enabled": true' '"telemetry":' '"daemon.request"' \
-             '"process.aggregate"' \
+             '"process.aggregate"' '"process.instances_retained_total"' \
              '"daemon.conn.accepted_total"' '"daemon.conn.closed_total"' \
              '"daemon.conn.open"' '"daemon.partial_frame_resumes_total"' \
              '"concurrent"' '"busy_retries"'; do

@@ -30,9 +30,11 @@ use lazy_diagnosis::snorlax::{
 use lazy_diagnosis::trace::{CorruptionOp, Corruptor};
 use lazy_diagnosis::vm::VmConfig;
 use lazy_diagnosis::workloads::BugScenario;
-use lazy_workloads::{all_scenarios, systems::eval_scenarios};
+use lazy_workloads::{all_scenarios, scenario_by_id, systems::eval_scenarios};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
+use std::process::Command;
 use std::sync::Barrier;
 use std::thread::JoinHandle;
 use util::DaemonGuard;
@@ -184,6 +186,90 @@ fn loopback_tcp_shards_are_byte_identical() {
     handle_b.join();
 }
 
+/// Builds the `snorlax` CLI with this suite's profile and returns its
+/// path. The CLI is its own package, so Cargo gives this suite no
+/// `CARGO_BIN_EXE_` path; the build's artifact message names the
+/// executable.
+fn snorlax_bin() -> PathBuf {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let mut build = Command::new(cargo);
+    build
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["build", "-q", "-p", "lazy-cli", "--bin", "snorlax"])
+        .arg("--message-format=json");
+    if !cfg!(debug_assertions) {
+        build.arg("--release");
+    }
+    let out = build.output().expect("cargo runs");
+    assert!(
+        out.status.success(),
+        "building snorlax failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    const KEY: &str = "\"executable\":\"";
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let path = stdout
+        .lines()
+        .filter(|l| l.contains("\"name\":\"snorlax\""))
+        .find_map(|l| {
+            let rest = &l[l.find(KEY)? + KEY.len()..];
+            Some(rest[..rest.find('"')?].to_owned())
+        })
+        .expect("cargo names the snorlax executable");
+    PathBuf::from(path)
+}
+
+/// A shard serving another module must not answer: routing
+/// `mysql-3596` reports over one `mysql-3596` shard daemon and one
+/// `mysql-59464` shard daemon fails the second in round 1 with an
+/// error naming the mismatch, an in-process shard for the other module
+/// fails the same way, and `snorlax fleet route` exits non-zero.
+#[test]
+fn shard_serving_another_module_fails_round_one() {
+    let s = scenario_by_id("mysql-3596").unwrap();
+    let other = scenario_by_id("mysql-59464").unwrap();
+    let report = combined_report(&s, 1);
+    let (addr_a, handle_a) = spawn_shard_daemon(s.module.clone());
+    let (addr_b, handle_b) = spawn_shard_daemon(other.module.clone());
+
+    let remote = vec![
+        ShardConn::Remote(RemoteClient::connect(addr_a).unwrap()),
+        ShardConn::Remote(RemoteClient::connect(addr_b).unwrap()),
+    ];
+    let local = vec![
+        ShardConn::local(&s.module, ServerConfig::default()),
+        ShardConn::local(&other.module, ServerConfig::default()),
+    ];
+    for (shards, over) in [(remote, "TCP"), (local, "in-process")] {
+        let outcome = route_once(&s, shards, &report);
+        assert_eq!(outcome.failed_shards(), 1, "{over}: the mismatched shard");
+        match &outcome.shard_reports[1].error {
+            Some(("collect", e)) if e.to_string().contains("module fingerprint mismatch") => {}
+            other => panic!("{over}: expected a round-1 module mismatch, got {other:?}"),
+        }
+        assert!(outcome.shard_reports[0].error.is_none(), "{over}");
+    }
+
+    let route = Command::new(snorlax_bin())
+        .args(["fleet", "route", "mysql-3596", "--reports", "1", "--addrs"])
+        .arg(format!("{addr_a},{addr_b}"))
+        .output()
+        .expect("snorlax runs");
+    let stdout = String::from_utf8_lossy(&route.stdout);
+    assert!(!route.status.success(), "fleet route must fail:\n{stdout}");
+    assert!(
+        stdout.contains("FAILED in collect round")
+            && stdout.contains("module fingerprint mismatch"),
+        "the CLI names the mismatch:\n{stdout}"
+    );
+
+    for addr in [addr_a, addr_b] {
+        RemoteClient::connect(addr).unwrap().shutdown().unwrap();
+    }
+    handle_a.join();
+    handle_b.join();
+}
+
 /// A "shard" that answers the first frame with a Corruptor-mangled
 /// reply: the coordinator must fail it in round 1 with a typed frame
 /// error and never speak to it again.
@@ -267,7 +353,7 @@ fn spawn_evil_finalize_shard(
             };
             let reply = match kind {
                 FrameKind::FleetCollect => {
-                    let (session, req) = decode_fleet_collect_view(&payload).unwrap();
+                    let (session, _, req) = decode_fleet_collect_view(&payload).unwrap();
                     let r = shard
                         .collect_views(session, &req.failure, &req.failing, &req.successful)
                         .unwrap();
