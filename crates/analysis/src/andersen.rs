@@ -433,17 +433,25 @@ impl<'m> Solver<'m> {
         }
     }
 
-    fn gen_constraints(&mut self, scope: Option<&HashSet<Pc>>) {
+    /// Installs the constraints of every instruction in `scope` (the
+    /// whole module for `None`). A scope is walked in the order given
+    /// through the PC map, so its cost follows the scope, not the
+    /// module; ascending PC order is the module's own layout order and
+    /// the order `PointsToCache` replays in.
+    fn gen_constraints(&mut self, scope: Option<&[Pc]>) {
         let module = self.module;
-        for func in module.functions() {
-            let fid = func.id;
-            for inst in func.insts() {
-                if let Some(s) = scope {
-                    if !s.contains(&inst.pc) {
-                        continue;
-                    }
+        let Some(scope) = scope else {
+            for func in module.functions() {
+                for inst in func.insts() {
+                    self.gen_inst(func.id, inst);
                 }
-                self.gen_inst(fid, inst);
+            }
+            return;
+        };
+        for &pc in scope {
+            if let Some(loc) = module.loc_of_pc(pc) {
+                let inst = &module.func(loc.func).block(loc.block).insts[loc.idx];
+                self.gen_inst(loc.func, inst);
             }
         }
     }
@@ -457,13 +465,16 @@ impl<'m> Solver<'m> {
             if delta.is_empty() {
                 continue;
             }
-            // Apply complex constraints to the new locations.
-            let cs = self.st.complex[v as usize].clone();
+            // Apply complex constraints to the new locations. Applying
+            // one never adds a complex constraint, so the list can be
+            // lent out for the loop instead of cloned.
+            let cs = std::mem::take(&mut self.st.complex[v as usize]);
             for c in &cs {
                 for l in &delta {
                     self.apply_complex(c, *l);
                 }
             }
+            self.st.complex[v as usize] = cs;
             // Propagate along copy edges.
             let succs: Vec<u32> = self.st.succs[v as usize].iter().copied().collect();
             for s in succs {
@@ -527,12 +538,22 @@ impl PointsTo {
     /// Scope-restricted analysis: constraints only from instructions in
     /// `scope` (the executed set from trace processing).
     pub fn analyze_scoped(module: &Module, scope: &HashSet<Pc>) -> PointsTo {
+        let mut pcs: Vec<Pc> = scope.iter().copied().collect();
+        pcs.sort_unstable();
+        Self::analyze_sorted_scope(module, &pcs)
+    }
+
+    /// [`PointsTo::analyze_scoped`] over a scope already listed in
+    /// ascending PC order, without a set to build: the same fixpoint
+    /// and the same counters.
+    pub fn analyze_sorted_scope(module: &Module, scope: &[Pc]) -> PointsTo {
+        debug_assert!(scope.windows(2).all(|w| w[0] < w[1]), "scope not ascending");
         let _span = lazy_obs::span!("pointsto.solve");
         lazy_obs::counter!("pointsto.scope_insts_total", scope.len());
         Self::analyze_impl(module, Some(scope))
     }
 
-    fn analyze_impl(module: &Module, scope: Option<&HashSet<Pc>>) -> PointsTo {
+    fn analyze_impl(module: &Module, scope: Option<&[Pc]>) -> PointsTo {
         let mut solver = Solver::new(module);
         solver.gen_constraints(scope);
         solver.solve();
@@ -777,6 +798,17 @@ mod tests {
             "scoped analysis sees only the executed store"
         );
         assert!(scoped.stats().insts_analyzed < whole.stats().insts_analyzed);
+
+        // A listed scope solves to the same sets and counters.
+        let mut listed: Vec<Pc> = scope.iter().copied().collect();
+        listed.sort_unstable();
+        let via_list = PointsTo::analyze_sorted_scope(&m, &listed);
+        assert_eq!(via_list.stats(), scoped.stats());
+        assert_eq!(via_list.pts_of_operand(mid, &q), scoped_q);
+        // Ascending PC order is the module's layout order: a scope of
+        // every PC replays the whole-module walk exactly.
+        let all: HashSet<Pc> = m.all_insts().map(|(i, _)| i.pc).collect();
+        assert_eq!(PointsTo::analyze_scoped(&m, &all).stats(), whole.stats());
     }
 
     /// The pointer-operand lookup used by the diagnosis pipeline.

@@ -71,7 +71,7 @@ fn bench_decode_paths(c: &mut Criterion) {
         ..TraceConfig::default()
     };
     let (bytes, taken_at) = drive(&module, 100_000, cfg.clone());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = lazy_trace::core_count();
 
     let mut g = c.benchmark_group("decode-paths");
     g.bench_function("legacy three-pass", |b| {

@@ -48,7 +48,7 @@ fn main() {
     let reports = opt(&args, "--reports", 16);
     let rounds = opt(&args, "--rounds", 3);
     let out_path = opt_str(&args, "--out", "BENCH_batch.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = lazy_trace::core_count();
 
     let s = scenario_by_id(&bug).expect("known bug id");
     let server = server_for(&s);

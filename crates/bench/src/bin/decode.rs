@@ -112,22 +112,19 @@ fn opt_str(args: &[String], flag: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-/// Decodes all thread streams under the outer/inner worker split the
-/// server's `process_snapshot_view` uses: whole streams fan out across
-/// `outer` workers (the caller is one of them, and a lone core never
-/// spawns), each routing its stream adaptively across the `inner`
-/// budget.
+/// Decodes all thread streams the way the server's
+/// `process_snapshot_view` does: whole streams fan out over the idle
+/// cores (the caller is one of them, and a lone core never spawns),
+/// and each stream routes adaptively across the budget it finds idle
+/// when it starts (`inner == 0`) or across exactly `inner` workers.
 fn decode_parallel(
     index: &ExecIndex,
     table: Option<&WalkTable>,
     cfg: &TraceConfig,
     streams: &[(Vec<u8>, u64)],
-    cores: usize,
-    min_inner: usize,
+    inner: usize,
 ) -> Vec<DecodedTrace> {
-    let outer = cores.clamp(1, streams.len().max(1));
-    let inner = (cores / outer).max(min_inner).max(1);
-    fan_out(streams, outer, |(bytes, taken_at)| {
+    fan_out(streams, 0, |(bytes, taken_at)| {
         decode_thread_trace_adaptive(index, table, cfg, bytes, *taken_at, inner)
     })
     .into_iter()
@@ -281,7 +278,7 @@ fn main() {
     // converge for the like-for-like one_core gate.
     let rounds = opt(&args, "--rounds", if fast { 6 } else { 4 });
     let out_path = opt_str(&args, "--out", "BENCH_decode.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = lazy_trace::core_count();
 
     let module = looped_module();
     let index = ExecIndex::build(&module);
@@ -393,7 +390,7 @@ fn main() {
         };
         let run_adaptive = || {
             let t = Instant::now();
-            let out = decode_parallel(&index, Some(&table), &cfg, &streams, cores, 1);
+            let out = decode_parallel(&index, Some(&table), &cfg, &streams, 0);
             let dt = t.elapsed().as_secs_f64();
             assert_matches(&reference, out, "sharded adaptive");
             dt
@@ -436,7 +433,7 @@ fn main() {
         assert_matches(&reference, out, "compiled warm");
 
         let t = Instant::now();
-        let out = decode_parallel(&index, Some(&table), &cfg_forced, &streams, cores, 2);
+        let out = decode_parallel(&index, Some(&table), &cfg_forced, &streams, 2);
         forced.push(t.elapsed().as_secs_f64());
         assert_matches(&reference, out, "sharded forced");
     }

@@ -58,7 +58,7 @@ fn main() {
     let reports = opt(&args, "--reports", if fast { 2 } else { 8 });
     let rounds = opt(&args, "--rounds", if fast { 1 } else { 3 });
     let out_path = opt_str(&args, "--out", "BENCH_fleet.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = lazy_trace::core_count();
 
     let s = scenario_by_id(&bug).expect("known bug id");
     println!(

@@ -107,7 +107,7 @@ fn main() {
     let fast = args.iter().any(|a| a == "--fast");
     let collections = opt(&args, "--collections", if fast { 2 } else { 3 });
     let out_path = opt_str(&args, "--out", "BENCH_stream.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = lazy_trace::core_count();
 
     let mut scenarios = eval_scenarios();
     if fast {

@@ -29,7 +29,7 @@ fn usage() -> ExitCode {
            corpus                         list the bug corpus\n\
            diagnose <bug-id> [--seed N] [--decode-workers N]\n\
                                           collect traces and print the root cause\n\
-                                          (--decode-workers 0 = one per core, 1 = sequential)\n\
+                                          (--decode-workers 0 = one per idle core, 1 = sequential)\n\
            replay <bug-id> [--runs N]     record a failing order, replay it deterministically\n\
            hypothesis <bug-id> [--samples N]  measure the inter-event times (coarse hypothesis)\n\
            trace <bug-id>                 dump the failing trace's packets and decoded events\n\

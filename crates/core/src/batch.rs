@@ -59,7 +59,9 @@ pub struct BatchJobView<'a> {
 /// Batch execution knobs.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Worker threads; `0` means one per available core.
+    /// Worker threads; `0` means one per idle core
+    /// (`lazy_trace::resolve_workers`), so a batch served by a busy
+    /// daemon runs its jobs on the cores nobody else holds.
     pub workers: usize,
     /// Share an incremental points-to cache across jobs. Off, every
     /// job solves its scope from scratch (still in parallel).
@@ -185,7 +187,7 @@ impl<'m> DiagnosisServer<'m> {
         lazy_obs::counter!("batch.cache_poison_fallbacks", cache_poison_fallbacks);
         // Close the batch span before the delta snapshot so the report
         // covers the fan-out span itself.
-        drop(batch_span);
+        batch_span.end();
         BatchOutcome {
             diagnoses,
             stats: BatchStats {
@@ -209,16 +211,15 @@ impl<'m> DiagnosisServer<'m> {
         memo: &SnapshotMemo<'a>,
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("batch.job");
-        // Decode budget 1 per job: batch-level parallelism already
-        // saturates the pool, so per-thread sharding would only add
-        // stitch overhead.
+        // The job's decode fan-outs resolve their own budget: the batch
+        // workers are busy, so they run inline unless a core is idle.
         self.diagnose_job(
             &job.failure,
             &job.failing,
             &job.successful,
             Some(memo),
             cache,
-            1,
+            self.config().decode_workers,
         )
     }
 }

@@ -62,6 +62,20 @@ pub fn select_candidates(
     raw_failing_pc: Pc,
     deadlock: bool,
 ) -> CandidateSet {
+    let executed: Vec<Pc> = executed.iter().copied().collect();
+    select_candidates_in(module, pts, &executed, raw_failing_pc, deadlock)
+}
+
+/// [`select_candidates`] over the executed instructions as a list, in
+/// any order: the server passes its ascending executed list, with no
+/// set to build.
+pub(crate) fn select_candidates_in(
+    module: &Module,
+    pts: &PointsTo,
+    executed: &[Pc],
+    raw_failing_pc: Pc,
+    deadlock: bool,
+) -> CandidateSet {
     let failing_pc = effective_failing_access(module, raw_failing_pc);
     let failing_pts = pts
         .pts_of_pointer_at(module, failing_pc)

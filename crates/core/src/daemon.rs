@@ -62,7 +62,7 @@ use crate::streaming::{
 use lazy_ir::{Module, Pc};
 use lazy_trace::wire::{fnv1a32, fnv1a32_with};
 use lazy_trace::{
-    decode_snapshot_view, encode_snapshot, resolve_workers, SnapshotView, TraceSnapshot,
+    core_count, decode_snapshot_view, encode_snapshot, BusyMark, SnapshotView, TraceSnapshot,
 };
 use lazy_vm::{DeadlockParty, Failure, FailureKind};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -829,7 +829,10 @@ pub fn decode_batch_report(
 /// `snorlaxd` runtime knobs.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Diagnosis worker threads; `0` means one per available core.
+    /// Diagnosis worker threads; `0` means one per core. They are a
+    /// persistent pool, not a fan-out: each counts as busy only while
+    /// it serves a request, so the fan-outs inside a request spawn
+    /// helpers only onto the cores the other workers leave idle.
     pub workers: usize,
     /// Admission bound: maximum requests queued or in flight; a request
     /// beyond it gets [`FrameKind::Busy`] instead of queueing.
@@ -1007,7 +1010,10 @@ pub fn serve(
     let (waker, wake_rx) =
         reactor::wake_pair().map_err(|e| DiagnosisError::Frame(FrameError::Io(e.to_string())))?;
     let shared = Shared::default();
-    let workers = resolve_workers(cfg.workers);
+    let workers = match cfg.workers {
+        0 => core_count(),
+        n => n,
+    };
     // One diagnosis server shared by every worker: its index and walk
     // table are read-only once built, so workers need no copy of their
     // own.
@@ -1071,6 +1077,7 @@ fn worker(
         lazy_obs::histogram!("daemon.inflight", shared.inflight.load(Ordering::Acquire));
         let reply = {
             let _span = lazy_obs::span!("daemon.request");
+            let _busy = BusyMark::new();
             // The request decodes here, in the worker, as borrowed
             // views over the frame payload — the event loop stays free
             // to service other connections, and trace bytes go from

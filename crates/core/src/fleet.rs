@@ -79,9 +79,9 @@ use crate::session::{AtCapacity, SessionTable, MAX_SESSIONS};
 use crate::statistics::{top_pattern_count, PatternCounts, PatternStats};
 use lazy_analysis::PointsToCache;
 use lazy_ir::{Module, Pc};
-use lazy_trace::{fan_out, resolve_workers, SnapshotView, TraceSnapshot};
+use lazy_trace::{fan_out, SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -304,7 +304,7 @@ impl<'m> FleetShard<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<CollectReply, DiagnosisError> {
         let _span = lazy_obs::span!("fleet.shard.collect");
-        let workers = self.server.config().resolved_decode_workers();
+        let workers = self.server.config().decode_workers;
         let (failing_traces, success_traces) = self
             .server
             .prepare_traces(failing, successful, None, workers)?;
@@ -351,7 +351,11 @@ impl<'m> FleetShard<'m> {
             .sessions
             .with(session, |s| (s.failure.clone(), s.failing.clone()))
             .ok_or_else(|| unknown(session))?;
-        let executed: HashSet<Pc> = executed.iter().copied().collect();
+        // The list may come off the wire: put it in the ascending,
+        // duplicate-free form the server's own union has.
+        let mut executed = executed.to_vec();
+        executed.sort_unstable();
+        executed.dedup();
         let found = self
             .server
             .patterns(&failure, &failing, &executed, Some(&self.pts_cache));
@@ -667,8 +671,8 @@ impl<'m> FleetRouter<'m> {
 
     /// Routes many in-flight reports concurrently on
     /// [`lazy_trace::fan_out`]; rounds interleave across the shared
-    /// shards. In-flight reports are bounded by the machine's
-    /// parallelism, the calling thread included: an unbounded
+    /// shards. In-flight reports are bounded by the idle cores, the
+    /// calling thread's included: an unbounded
     /// thread-per-report fan-out just multiplies contention on the
     /// per-shard mutexes (and evicts each other's decode working set)
     /// without adding wall-clock overlap. On one core every report
@@ -678,7 +682,7 @@ impl<'m> FleetRouter<'m> {
     /// by the per-shard mutexes, not by the fan-out (concurrent `route`
     /// calls from arbitrary threads are equally fine).
     pub fn route_all(&self, reports: &[FleetReport]) -> Vec<Result<FleetOutcome, DiagnosisError>> {
-        fan_out(reports, resolve_workers(0), |report| self.route(report))
+        fan_out(reports, 0, |report| self.route(report))
             .into_iter()
             .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("fleet", p))))
             .collect()

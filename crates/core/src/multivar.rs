@@ -41,6 +41,20 @@ pub fn multivar_patterns(
     trace: &ProcessedTrace,
     cands: &CandidateSet,
 ) -> Vec<BugPattern> {
+    let executed: Vec<Pc> = executed.iter().copied().collect();
+    multivar_patterns_in(module, pts, &executed, raw_failing_pc, trace, cands)
+}
+
+/// [`multivar_patterns`] over the executed instructions as a list, in
+/// any order (the server's ascending executed list).
+pub(crate) fn multivar_patterns_in(
+    module: &Module,
+    pts: &PointsTo,
+    executed: &[Pc],
+    raw_failing_pc: Pc,
+    trace: &ProcessedTrace,
+    cands: &CandidateSet,
+) -> Vec<BugPattern> {
     let feeds = effective_failing_accesses(module, raw_failing_pc);
     if feeds.len() < 2 {
         return Vec::new();

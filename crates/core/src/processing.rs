@@ -370,10 +370,11 @@ pub fn process_snapshot(
 /// whatever buffer the view borrows from (a connection's read buffer, a
 /// wire payload); nothing is copied on the way in.
 ///
-/// Thread streams decode concurrently on [`fan_out`]; each stream is
-/// then routed by [`decode_thread_trace_adaptive`] — large streams
-/// additionally use PSB-sharded decode internally, small ones take the
-/// fused pass with zero sharding overhead. Aggregation runs
+/// Thread streams decode concurrently on [`fan_out`] (for `workers ==
+/// 0`, on the idle cores); each stream is then routed by
+/// [`decode_thread_trace_adaptive`] — large streams additionally use
+/// PSB-sharded decode internally, small ones take the fused pass with
+/// zero sharding overhead. Aggregation runs
 /// sequentially in thread order over the (bit-identical) per-thread
 /// decodes, so the result is byte-for-byte the same as `workers == 1`.
 ///
@@ -454,7 +455,7 @@ pub fn process_snapshot_view(
         });
     }
     let (executed, offsets, instances) = aggregator.finish();
-    drop(aggregate_span);
+    aggregate_span.end();
     // Counted here — once per *distinct* processed snapshot — so batch
     // memo hits do not inflate the totals (telemetry reconciles with the
     // per-snapshot `event_count` sums exactly when dedup hits are zero).

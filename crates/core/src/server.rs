@@ -8,17 +8,15 @@
 //! not the program size (hybrid points-to is scoped to executed code),
 //! and a single failure is enough to produce a diagnosis (no sampling).
 
-use crate::candidates::{select_candidates, CandidateSet};
+use crate::candidates::{select_candidates_in, CandidateSet};
 use crate::error::DiagnosisError;
-use crate::multivar::multivar_patterns;
+use crate::multivar::multivar_patterns_in;
 use crate::patterns::{crash_patterns, deadlock_patterns, BugPattern, PatternContext};
 use crate::processing::{process_snapshot_view, ProcessedTrace};
 use crate::statistics::{score_patterns, top_pattern_count, PatternScore};
 use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
 use lazy_ir::{Cfg, Module, Pc};
-use lazy_trace::{
-    fan_out, resolve_workers, ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable,
-};
+use lazy_trace::{fan_out, ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable};
 use lazy_vm::{Failure, FailureKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -37,9 +35,13 @@ pub struct ServerConfig {
     /// Cap on ranked candidates carried into pattern computation.
     pub max_candidates: usize,
     /// Worker threads for snapshot decode (steps 2–3): snapshots of one
-    /// report decode concurrently, and large thread streams additionally
-    /// use PSB-sharded decode. `0` means one per available core. The
-    /// result is bit-identical regardless of the setting.
+    /// report decode concurrently, each snapshot's threads too, and
+    /// large thread streams additionally use PSB-sharded decode. `0`
+    /// means one per idle core, resolved at each of those fan-outs
+    /// (`lazy_trace::resolve_workers`), so a loaded daemon decodes
+    /// inline. `n > 0` gives each of them `n` workers; `1` decodes
+    /// sequentially. The result is bit-identical regardless of the
+    /// setting.
     pub decode_workers: usize,
     /// Daemon session stores (`StreamHub`, `FleetShard`): sessions idle
     /// longer than this are evicted on the next admission or sweep, so
@@ -56,12 +58,6 @@ impl Default for ServerConfig {
             decode_workers: 0,
             session_ttl: std::time::Duration::from_secs(300),
         }
-    }
-}
-
-impl ServerConfig {
-    pub(crate) fn resolved_decode_workers(&self) -> usize {
-        resolve_workers(self.decode_workers)
     }
 }
 
@@ -291,7 +287,7 @@ impl<'m> DiagnosisServer<'m> {
             Some(self.walk_table()),
             &self.cfg.trace,
             &snapshot.view(),
-            self.cfg.resolved_decode_workers(),
+            self.cfg.decode_workers,
         )
     }
 
@@ -348,7 +344,7 @@ impl<'m> DiagnosisServer<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("diagnose.job");
-        let workers = self.cfg.resolved_decode_workers();
+        let workers = self.cfg.decode_workers;
         self.diagnose_job(failure, failing, successful, None, None, workers)
     }
 
@@ -401,10 +397,12 @@ impl<'m> DiagnosisServer<'m> {
     /// failing reports than shards — so neither the cap nor the
     /// `EmptyReport` check applies here.
     ///
-    /// All snapshots are processed concurrently under the worker
-    /// budget, and each snapshot's threads decode concurrently too
-    /// ([`process_snapshot_view`]); aggregation order is fixed, so the
-    /// result is bit-identical to sequential processing.
+    /// Snapshots are processed concurrently under the worker budget
+    /// (`0`: the idle cores), and each snapshot's threads decode
+    /// concurrently too
+    /// ([`process_snapshot_view`]), resolving their own budget once the
+    /// snapshot helpers count as busy; aggregation order is fixed, so
+    /// the result is bit-identical to sequential processing.
     pub(crate) fn prepare_traces<'a>(
         &self,
         failing: &[SnapshotView<'a>],
@@ -413,9 +411,6 @@ impl<'m> DiagnosisServer<'m> {
         workers: usize,
     ) -> Result<Prepared, DiagnosisError> {
         let snapshots: Vec<&SnapshotView<'a>> = failing.iter().chain(successful.iter()).collect();
-
-        let outer = workers.clamp(1, snapshots.len().max(1));
-        let inner = (workers / outer).max(1);
         // Build the walk table before fanning out: get_or_init inside
         // the workers would serialize their first decodes on it.
         let table = Some(self.walk_table());
@@ -429,7 +424,7 @@ impl<'m> DiagnosisServer<'m> {
                 table,
                 &self.cfg.trace,
                 s,
-                inner,
+                workers,
             )?);
             if let Some(m) = memo {
                 m.insert(s.clone(), Arc::clone(&t));
@@ -437,7 +432,7 @@ impl<'m> DiagnosisServer<'m> {
             Ok(t)
         };
         // One panicking snapshot fails that snapshot only.
-        let mut results = fan_out(&snapshots, outer, |s| process_one(s))
+        let mut results = fan_out(&snapshots, workers, |s| process_one(s))
             .into_iter()
             .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p))));
         let mut failing_traces = Vec::with_capacity(failing.len());
@@ -488,17 +483,21 @@ impl<'m> DiagnosisServer<'m> {
     /// The poison rule: a cache whose lock is poisoned may hold state a
     /// panicked solve left half-written, so it is never solved from.
     /// The solve falls back to scratch and the fallback is counted.
-    fn points_to(&self, executed: &HashSet<Pc>, cache: Option<&SharedCache>) -> PointsTo {
+    ///
+    /// `executed` is ascending ([`DiagnosisServer::executed_union`]);
+    /// only the cache, which keys its solutions by set, gets a set.
+    fn points_to(&self, executed: &[Pc], cache: Option<&SharedCache>) -> PointsTo {
         if let Some(shared) = cache {
+            let scope: HashSet<Pc> = executed.iter().copied().collect();
             match shared.cache.lock() {
-                Ok(mut cache) => return cache.analyze_scoped(self.module, executed),
+                Ok(mut cache) => return cache.analyze_scoped(self.module, &scope),
                 Err(_) => {
                     shared.poison_fallbacks.fetch_add(1, Ordering::Relaxed);
                     lazy_obs::counter!("pointsto.cache.poison_fallbacks_total", 1u64);
                 }
             }
         }
-        PointsTo::analyze_scoped(self.module, executed)
+        PointsTo::analyze_sorted_scope(self.module, executed)
     }
 
     /// Steps 4–6 against an executed-instruction scope: points-to,
@@ -510,7 +509,7 @@ impl<'m> DiagnosisServer<'m> {
         &self,
         failure: &Failure,
         failing_traces: &[Arc<ProcessedTrace>],
-        executed: &HashSet<Pc>,
+        executed: &[Pc],
         cache: Option<&SharedCache>,
     ) -> PatternSet {
         let pts_started = Instant::now();
@@ -520,9 +519,9 @@ impl<'m> DiagnosisServer<'m> {
         // Steps 4–5: candidate selection + type ranking.
         let deadlock = is_deadlock(failure);
         let rank_span = lazy_obs::span!("rank.candidates");
-        let mut cands = select_candidates(self.module, &pts, executed, failure.pc, deadlock);
+        let mut cands = select_candidates_in(self.module, &pts, executed, failure.pc, deadlock);
         cands.ranked.truncate(self.cfg.max_candidates);
-        drop(rank_span);
+        rank_span.end();
         lazy_obs::counter!("rank.candidates_total", cands.ranked.len());
         lazy_obs::counter!("rank.rank1_total", cands.rank1_count());
 
@@ -537,7 +536,7 @@ impl<'m> DiagnosisServer<'m> {
                 patterns.extend(deadlock_patterns(&ctx, &cands, t));
             } else {
                 patterns.extend(crash_patterns(&ctx, &cands, t));
-                patterns.extend(multivar_patterns(
+                patterns.extend(multivar_patterns_in(
                     self.module,
                     &pts,
                     executed,
@@ -549,7 +548,7 @@ impl<'m> DiagnosisServer<'m> {
         }
         patterns.sort();
         patterns.dedup();
-        drop(patterns_span);
+        patterns_span.end();
         lazy_obs::counter!("patterns.generated_total", patterns.len());
         PatternSet {
             cands,
@@ -570,7 +569,7 @@ impl<'m> DiagnosisServer<'m> {
         times: StageTimes,
     ) -> Diagnosis {
         let all_traces = || failing_traces.iter().chain(success_traces);
-        let executed: HashSet<Pc> = self.executed_union(all_traces());
+        let executed: Vec<Pc> = self.executed_union(all_traces());
         let steps_started = Instant::now();
         let found = self.patterns(failure, failing_traces, &executed, cache);
 
@@ -584,7 +583,7 @@ impl<'m> DiagnosisServer<'m> {
             &found.rank_of(),
         );
         let top_patterns = top_pattern_count(&scores);
-        drop(stats_span);
+        stats_span.end();
         lazy_obs::counter!("stats.patterns_scored_total", scores.len());
 
         // Order the root cause's events by observed time in the first
@@ -860,8 +859,8 @@ mod tests {
         f.finish();
         let m = mb.finish().unwrap();
         let server = DiagnosisServer::new(&m, ServerConfig::default());
-        let executed: HashSet<Pc> = m.all_insts().map(|(i, _)| i.pc).collect();
-        let scratch = PointsTo::analyze_scoped(&m, &executed);
+        let executed: Vec<Pc> = m.all_insts().map(|(i, _)| i.pc).collect();
+        let scratch = PointsTo::analyze_sorted_scope(&m, &executed);
         let same_as_scratch = |pts: &PointsTo| {
             m.all_insts().all(|(i, _)| {
                 pts.pts_of_pointer_at(&m, i.pc) == scratch.pts_of_pointer_at(&m, i.pc)

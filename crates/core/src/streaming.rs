@@ -405,7 +405,7 @@ impl StreamState {
         let started = Instant::now();
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
-        let workers = server.config().resolved_decode_workers();
+        let workers = server.config().decode_workers;
         let (mut failing, _) =
             match server.prepare_traces(std::slice::from_ref(view), &[], None, workers) {
                 Ok(p) => p,
@@ -433,7 +433,7 @@ impl StreamState {
         let started = Instant::now();
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
-        let workers = server.config().resolved_decode_workers();
+        let workers = server.config().decode_workers;
         let retained = match server.prepare_traces(&[], std::slice::from_ref(view), None, workers) {
             Ok((_, mut successes)) => successes.pop(),
             Err(_) => None,

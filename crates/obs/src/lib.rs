@@ -67,7 +67,7 @@ pub fn render_prometheus() -> String {
 /// ```
 /// let _g = lazy_obs::span!("decode.shard");
 /// // ... the work being measured ...
-/// drop(_g); // or let it fall out of scope
+/// _g.end(); // or let it fall out of scope
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -221,6 +221,12 @@ pub struct SpanGuard {
     start: Instant,
 }
 
+impl SpanGuard {
+    /// Closes the span before its scope ends. The same call compiles in
+    /// the disabled build, whose guard has no `Drop` to call `drop` on.
+    pub fn end(self) {}
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -1771,7 +1771,8 @@ pub fn decode_thread_trace_sharded(
 ///   interpreted walk runs (`decode.walk_table.{hit,bypass}` count the
 ///   outcomes).
 /// * `worker_budget` — the parallelism available to *this* decode;
-///   `0` means one per available core ([`resolve_workers`]).
+///   `0` means one per idle core when the decode starts
+///   ([`resolve_workers`]).
 ///
 /// Routing: the shard count is the worker budget capped by
 /// `len / decode_shard_target_bytes` (each shard must be big enough to
@@ -1857,7 +1858,7 @@ fn decode_sharded(
         .collect();
 
     lazy_obs::counter!("decode.shards_total", shards.len());
-    let _speculate_span = lazy_obs::span!("decode.shard.speculate");
+    let speculate_span = lazy_obs::span!("decode.shard.speculate");
     // The sharded path is an optimization over the fused sequential
     // decoder, so a panic in any shard discards all speculation and
     // falls back to the sequential path: same result, just slower.
@@ -1871,7 +1872,7 @@ fn decode_sharded(
         return decode_stream(walker, config, bytes, snapshot_time);
     };
 
-    drop(_speculate_span);
+    speculate_span.end();
     // Stitch: recompute each shard's head with the true carried state,
     // validate convergence, splice the speculative tail (or redecode
     // the shard sequentially when speculation failed). Heads and

@@ -7,21 +7,119 @@
 //! panics must fail their own task only. [`fan_out`] is that shape.
 //!
 //! The threads are scoped, not pooled: a task may borrow anything the
-//! caller can, with no lifetime erasure, and a spawn plus join costs
-//! tens of microseconds against the milliseconds a task takes. The
-//! caller is one of the workers, so a call with `workers` workers
-//! spawns `workers - 1` threads, and none at all for one worker or one
-//! task.
+//! caller can, with no lifetime erasure. The caller is one of the
+//! workers, so a call with `workers` workers spawns `workers - 1`
+//! threads, and none at all for one worker or one task.
+//!
+//! A spawn is not free (a scoped spawn plus join costs 47–94 µs on a
+//! 2-vCPU VM, plus the helper's own kernel time), so an automatic
+//! worker count (`0`) spawns only onto idle cores: the process keeps
+//! one count of busy pipeline threads ([`BusyMark`]: a daemon worker
+//! serving a request, a fan-out's caller and helpers until the fan-out
+//! joins), and [`resolve_workers`] turns `0` into the idle cores
+//! plus the caller's own. A fan-out nested inside a helper therefore
+//! sees its parent's helpers as busy and runs inline once the cores
+//! are taken. An explicit count is always taken as given.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// A worker count where `0` means one per available core.
+/// The cores this process may run on, read once: every later call is
+/// a load, not the syscalls behind `available_parallelism`.
+#[must_use]
+pub fn core_count() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Busy pipeline threads in this process, each held by one [`Claim`].
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is counted in [`BUSY`].
+    static MARKED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One thread's share of [`BUSY`], released on drop. A fan-out takes
+/// its helpers' claims before spawning them, so a fan-out that starts
+/// a moment later (the caller's own first task) already counts them,
+/// and drops them once it has joined them.
+struct Claim;
+
+impl Claim {
+    fn take() -> Claim {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+        Claim
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Counts the calling thread as a busy pipeline thread until dropped.
+///
+/// A daemon worker holds one while it serves a request, and a fan-out
+/// holds one for its caller until it has joined its helpers (which are
+/// counted as long). Marks nest: a thread already marked is counted
+/// once, and only its outermost mark releases it.
+#[must_use = "the thread counts as busy only while the mark is held"]
+pub struct BusyMark {
+    claim: Option<Claim>,
+    /// The mark is this thread's: it must drop where it was taken.
+    _thread: PhantomData<*const ()>,
+}
+
+impl BusyMark {
+    /// Marks the calling thread busy.
+    pub fn new() -> BusyMark {
+        BusyMark {
+            claim: (!MARKED.replace(true)).then(Claim::take),
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Default for BusyMark {
+    fn default() -> BusyMark {
+        BusyMark::new()
+    }
+}
+
+impl Drop for BusyMark {
+    fn drop(&mut self) {
+        if self.claim.take().is_some() {
+            MARKED.set(false);
+        }
+    }
+}
+
+/// The workers an automatic fan-out may use: the cores no other busy
+/// pipeline thread holds, where the caller's own core counts as free
+/// to it. `busy` counts the caller when `caller_marked`; the result is
+/// at least 1, so a fully loaded process runs the work inline.
+fn idle_budget(cores: usize, busy: usize, caller_marked: bool) -> usize {
+    (cores + usize::from(caller_marked))
+        .saturating_sub(busy)
+        .max(1)
+}
+
+/// A worker count where `0` means one per idle core, the caller's own
+/// included (`max(1, cores + caller's mark − busy threads)`). A
+/// process with no busy mark sees every core idle.
 #[must_use]
 pub fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        idle_budget(
+            core_count(),
+            BUSY.load(Ordering::Relaxed),
+            MARKED.with(Cell::get),
+        )
     } else {
         workers
     }
@@ -30,11 +128,12 @@ pub fn resolve_workers(workers: usize) -> usize {
 /// Runs `f` over every item on up to `workers` threads, the caller's
 /// included, and returns the results index-aligned with `items`.
 ///
-/// Workers pull the next unclaimed item until none is left, so with
-/// `workers >= items.len()` every task gets a thread of its own and
-/// all of them run at once (a task that blocks on a peer never starves
-/// a sibling). With `workers <= 1` or a single item every task runs on
-/// the caller's thread and nothing is spawned.
+/// `workers == 0` resolves through [`resolve_workers`] when the call
+/// starts. Workers pull the next unclaimed item until none is left, so
+/// with `workers >= items.len()` every task gets a thread of its own
+/// and all of them run at once (a task that blocks on a peer never
+/// starves a sibling). With one worker or a single item every task
+/// runs on the caller's thread and nothing is spawned.
 ///
 /// Each task runs under its own `catch_unwind`: a panic becomes the
 /// `Err` payload at that task's index and its siblings still run.
@@ -45,7 +144,10 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let run = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item)));
-    let threads = workers.min(items.len());
+    let threads = resolve_workers(workers).min(items.len());
+    // Added once per call, zero included, so the counter exists
+    // wherever a fan-out ran.
+    lazy_obs::counter!("fanout.helpers_spawned_total", threads.saturating_sub(1));
     if threads <= 1 {
         return items.iter().map(run).collect();
     }
@@ -59,9 +161,17 @@ where
         // A slot is written once, by the worker that claimed its index.
         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
     };
+    // The caller and every helper stay counted until the fan-out joins,
+    // so a helper that ran out of items does not free its core for the
+    // nested fan-outs of the tasks still running.
+    let _caller = BusyMark::new();
+    let _helpers: Vec<Claim> = (1..threads).map(|_| Claim::take()).collect();
     std::thread::scope(|scope| {
         for _ in 1..threads {
-            scope.spawn(drain);
+            scope.spawn(|| {
+                MARKED.set(true);
+                drain();
+            });
         }
         drain();
     });
@@ -129,9 +239,7 @@ mod tests {
                 .map(Result::unwrap)
                 .collect()
         };
-        for workers in [0, 1] {
-            assert!(on(&[1, 2, 3, 4], workers).iter().all(|&t| t == caller));
-        }
+        assert!(on(&[1, 2, 3, 4], 1).iter().all(|&t| t == caller));
         assert_eq!(on(&[1], 8), vec![caller]);
         assert!(on(&[], 8).is_empty());
     }
@@ -167,9 +275,57 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_resolves_to_the_core_count() {
-        let cores = std::thread::available_parallelism().unwrap().get();
-        assert_eq!(resolve_workers(0), cores);
+    fn the_idle_budget_is_the_free_cores_plus_the_callers_own() {
+        // An unmarked caller (the CLI, a test) in an idle process gets
+        // every core; a marked one is counted in `busy` and gets its
+        // own core back.
+        assert_eq!(idle_budget(4, 0, false), 4);
+        assert_eq!(idle_budget(4, 1, true), 4);
+        // Other busy threads take their cores.
+        assert_eq!(idle_budget(4, 1, false), 3);
+        assert_eq!(idle_budget(4, 3, true), 2);
+        // A full or oversubscribed process runs the work inline.
+        assert_eq!(idle_budget(4, 4, true), 1);
+        assert_eq!(idle_budget(2, 9, false), 1);
+        assert_eq!(idle_budget(2, 9, true), 1);
+        assert_eq!(idle_budget(1, 0, false), 1);
+    }
+
+    #[test]
+    fn explicit_counts_are_taken_as_given() {
+        assert_eq!(resolve_workers(1), 1);
         assert_eq!(resolve_workers(3), 3);
+        // `0` never resolves below one worker, however busy the process.
+        assert!(resolve_workers(0) >= 1);
+    }
+
+    #[test]
+    fn every_thread_of_a_spawning_fan_out_is_marked_busy() {
+        // The caller and each helper hold a mark while the tasks run,
+        // so a fan-out nested in any task counts them all.
+        let out = fan_out(&[0u8, 1, 2], 3, |_| MARKED.with(Cell::get));
+        assert!(out.into_iter().all(Result::unwrap));
+        assert!(
+            !MARKED.with(Cell::get),
+            "the caller's mark ends with the call"
+        );
+    }
+
+    #[test]
+    fn a_thread_is_counted_once_however_deeply_its_marks_nest() {
+        // The thread-local flag is this thread's alone, whatever the
+        // sibling tests do to the process-wide count.
+        assert!(!MARKED.with(Cell::get));
+        let outer = BusyMark::new();
+        assert!(outer.claim.is_some() && MARKED.with(Cell::get));
+        let inner = BusyMark::new();
+        assert!(
+            inner.claim.is_none(),
+            "a marked thread is not counted again"
+        );
+        drop(inner);
+        assert!(MARKED.with(Cell::get), "only the outermost mark releases");
+        drop(outer);
+        assert!(!MARKED.with(Cell::get));
     }
 }

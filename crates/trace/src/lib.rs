@@ -56,7 +56,7 @@ pub use driver::{
     SnapshotTrigger, SnapshotView, ThreadTrace, ThreadTraceView, TraceDriver, TraceSnapshot,
 };
 pub use encoder::Encoder;
-pub use fanout::{fan_out, resolve_workers};
+pub use fanout::{core_count, fan_out, resolve_workers, BusyMark};
 pub use packet::{find_psb, find_psb_scalar, Packet, PacketDecoder, PacketEncoder, PSB_MARKER};
 pub use ring::RingBuffer;
 pub use stats::TraceStats;

@@ -8,9 +8,9 @@
 #                          SWAR/scalar packet-scan differential, the
 #                          streaming-law proptests, the snapshot
 #                          aggregation differential and retention rule,
-#                          the fan-out helper's contract, the telemetry
-#                          site aggregates and the payload-decoder
-#                          fuzzers
+#                          the fan-out helper's contract and idle-core
+#                          budget, the telemetry site aggregates and the
+#                          payload-decoder fuzzers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,8 +26,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-snorlax --lib processing::aggregate_tests
   echo "==> fast lane: retention rule (corpus targets and access kinds have pointer operands; mysql-3596 traces keep <= 100 kB)"
   cargo test --release -q --test retention
-  echo "==> fast lane: fan-out helper contract (order, per-task panics, inline, concurrency)"
+  echo "==> fast lane: fan-out helper contract (order, per-task panics, inline, concurrency, idle-core budget, busy marks)"
   cargo test --release -q -p lazy-trace --lib fanout::tests
+  echo "==> fast lane: idle-core rule end to end (every core busy: no helper spawned, renders unchanged; one-snapshot folds never spawn)"
+  cargo test --release -q --test idle_cores
   echo "==> fast lane: every closed span reaches its site aggregate, on any thread"
   cargo test --release -q -p lazy-obs --lib site::tests
   echo "==> fast lane: payload-decoder fuzzing (arbitrary, cut, flipped, forged-count payloads)"
@@ -70,6 +72,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # invocation (lazy-ir legitimately uses expect()).
 echo "==> panic-lint gate (lazy-trace, lazy-snorlax, lazy-obs)"
 cargo clippy -q -p lazy-trace -p lazy-snorlax -p lazy-obs --lib -- -D warnings
+# The same gate with telemetry off: selected alone, neither crate turns
+# on lazy-obs's `enabled`, so its no-op guards (no `Drop`) are what
+# they lint against.
+echo "==> panic-lint gate, telemetry off (lazy-trace, then lazy-snorlax, each alone)"
+cargo clippy -q -p lazy-trace --lib -- -D warnings
+cargo clippy -q -p lazy-snorlax --lib -- -D warnings
 
 # The decode smoke also enforces the decode gates: the bench binary
 # asserts the one_core (adaptive never loses to fused) and walk_table
@@ -130,13 +138,14 @@ cargo run --release -q -p lazy-bench --bin daemon -- --reports 4 --rounds 1 --ou
 
 # Same artifact contract as the decode bench: the enabled flag, the
 # embedded telemetry object, the daemon's own request span, the
-# aggregation span and its retained-instance counter, the
-# per-connection lifecycle counters of the readiness loop, the
-# slow-writer lane's partial-frame resume counter, and the concurrent
-# submitter lane summary.
+# aggregation span and its retained-instance counter, the fan-out's
+# helper-spawn counter, the per-connection lifecycle counters of the
+# readiness loop, the slow-writer lane's partial-frame resume counter,
+# and the concurrent submitter lane summary.
 echo "==> BENCH_daemon.json telemetry fields"
 for field in '"telemetry_enabled": true' '"telemetry":' '"daemon.request"' \
              '"process.aggregate"' '"process.instances_retained_total"' \
+             '"fanout.helpers_spawned_total"' \
              '"daemon.conn.accepted_total"' '"daemon.conn.closed_total"' \
              '"daemon.conn.open"' '"daemon.partial_frame_resumes_total"' \
              '"concurrent"' '"busy_retries"'; do
