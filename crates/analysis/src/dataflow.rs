@@ -6,8 +6,8 @@
 //! the same move RETracer (the paper's §2 lineage) makes from a corrupt
 //! value: walk register definitions backward until a load is found.
 
+use crate::fasthash::{FastMap, FastSet};
 use lazy_ir::{InstKind, Module, Operand, Pc, ValueId};
-use std::collections::HashSet;
 
 /// Finds every memory access whose value feeds the instruction at
 /// `pc`, walking register defs backward within the function (bounded),
@@ -29,7 +29,7 @@ pub fn effective_failing_accesses(module: &Module, pc: Pc) -> Vec<Pc> {
     };
     let func = module.func(loc.func);
     // Def map of the function (registers are defined once).
-    let defs: std::collections::HashMap<ValueId, Pc> = func
+    let defs: FastMap<ValueId, Pc> = func
         .insts()
         .filter_map(|i| i.result.map(|r| (r, i.pc)))
         .collect();
@@ -40,7 +40,7 @@ pub fn effective_failing_accesses(module: &Module, pc: Pc) -> Vec<Pc> {
         .iter()
         .filter_map(|o| o.as_reg())
         .collect();
-    let mut seen: HashSet<ValueId> = queue.iter().copied().collect();
+    let mut seen: FastSet<ValueId> = queue.iter().copied().collect();
     let mut loads: Vec<Pc> = Vec::new();
     let mut fuel = 256;
     while let Some(v) = queue.pop() {

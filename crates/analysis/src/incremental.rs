@@ -20,25 +20,28 @@
 //!    the cache clones that solution and replays only the scope *delta*
 //!    (sorted by pc for determinism) instead of the whole scope.
 //!
-//! **Cache key**: the exact executed-`Pc` set. Exact-match scopes reuse
-//! the stored solution outright; otherwise the largest cached scope
-//! that is a *subset* of the request seeds a delta solve.
+//! **Cache key**: the exact executed-`Pc` set, kept as an ascending
+//! list. Exact-match scopes reuse the stored solution outright (a clone
+//! of its flat [`PointsTo`]); otherwise the largest cached scope that is
+//! a *subset* of the request seeds a delta solve.
 //!
 //! **Invalidation**: the module is immutable for a cache's lifetime. A
-//! cache is bound to one module; a structural fingerprint (name,
-//! function/instruction counts, pc bounds) is checked on every call and
-//! a mismatch flushes all entries — callers that juggle several modules
-//! should keep one cache per module (as the batch server does).
+//! cache is bound to one module; the module's fingerprint
+//! ([`Module::fingerprint`], computed once at assembly) is checked on
+//! every call and a mismatch flushes all entries — callers that juggle
+//! several modules should keep one cache per module (as the batch
+//! server does).
 //!
-//! **Determinism / equivalence**: results are [`PtsSet`]s
-//! (`BTreeSet`s) at a unique least fixpoint, so cached, delta-solved,
-//! and from-scratch analyses return byte-identical points-to sets —
-//! the property `crates/analysis/tests/proptests.rs` checks
-//! differentially and the batch-vs-sequential corpus test relies on.
+//! **Determinism / equivalence**: a points-to set is the set of
+//! locations at the unique least fixpoint, stored in ascending order,
+//! so cached, delta-solved, and from-scratch analyses return
+//! byte-identical points-to sets and identical counters — the property
+//! `crates/analysis/tests/proptests.rs` and the crate's differential
+//! tests check and the batch-vs-sequential corpus test relies on.
 
 use crate::andersen::{inst_constraint_ops, ConstraintOp, PointsTo, Solver, SolverState};
-use lazy_ir::{FuncId, Module, Pc};
-use std::collections::{HashMap, HashSet, VecDeque};
+use lazy_ir::{Module, Pc};
+use std::collections::{HashSet, VecDeque};
 
 /// Counters describing how a [`PointsToCache`] resolved its requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,45 +65,36 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
-/// Cheap structural identity of a module, used to detect (and refuse to
-/// mix) solutions from different modules.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ModuleFingerprint {
-    name: String,
-    funcs: usize,
-    insts: usize,
-    pc_lo: u64,
-    pc_hi: u64,
-}
-
-impl ModuleFingerprint {
-    fn of(module: &Module) -> ModuleFingerprint {
-        let mut insts = 0usize;
-        let mut pc_lo = u64::MAX;
-        let mut pc_hi = 0u64;
-        for f in module.functions() {
-            for i in f.insts() {
-                insts += 1;
-                pc_lo = pc_lo.min(i.pc.0);
-                pc_hi = pc_hi.max(i.pc.0);
-            }
-        }
-        ModuleFingerprint {
-            name: module.name.clone(),
-            funcs: module.functions().len(),
-            insts,
-            pc_lo,
-            pc_hi,
-        }
-    }
-}
-
 struct CachedSolution {
-    scope: HashSet<Pc>,
+    /// The solved scope, ascending.
+    scope: Vec<Pc>,
     /// How many of the scope's pcs were analyzed (generated
     /// constraints) — the work a reuse of this entry saves.
     analyzed: usize,
+    /// The solver's resting state, the base of later delta solves.
     state: SolverState,
+    /// The queryable result an exact hit clones.
+    result: PointsTo,
+}
+
+/// Whether every element of ascending `small` is in ascending `big`.
+fn is_sorted_subset(small: &[Pc], big: &[Pc]) -> bool {
+    let mut rest = big.iter();
+    small.iter().all(|pc| rest.any(|b| b == pc))
+}
+
+/// The elements of ascending `scope` missing from ascending `base`, in
+/// order.
+fn sorted_difference(scope: &[Pc], base: &[Pc]) -> Vec<Pc> {
+    let mut rest = base.iter().peekable();
+    scope
+        .iter()
+        .filter(|pc| {
+            while rest.next_if(|b| b < pc).is_some() {}
+            rest.peek() != Some(pc)
+        })
+        .copied()
+        .collect()
 }
 
 /// A reusable, incrementally updated scoped points-to analyzer for one
@@ -132,17 +126,25 @@ struct CachedSolution {
 /// assert_eq!(cache.stats().exact_hits, 1);
 /// ```
 pub struct PointsToCache {
-    fingerprint: Option<ModuleFingerprint>,
-    /// Memoized constraint recipes: pc → ops, for every *analyzed*
-    /// instruction of every prepared function. Absence after
-    /// preparation means the instruction is irrelevant to points-to.
-    recipes: HashMap<Pc, Vec<ConstraintOp>>,
-    prepared: HashSet<FuncId>,
+    /// The bound module's [`Module::fingerprint`].
+    fingerprint: Option<u64>,
+    /// Memoized constraint recipes, flat: the ops of the instruction at
+    /// PC slot `s` are `recipe_ops[recipes[s].0..recipes[s].1]`, for
+    /// every *analyzed* instruction of every prepared function. An
+    /// empty range after preparation means the instruction is
+    /// irrelevant to points-to.
+    recipes: Vec<(u32, u32)>,
+    recipe_ops: Vec<ConstraintOp>,
+    /// Per function id: its recipes are memoized.
+    prepared: Vec<bool>,
     /// Solved scopes, oldest first (evicted from the front).
     solutions: VecDeque<CachedSolution>,
     capacity: usize,
     stats: CacheStats,
 }
+
+/// A recipe slot whose instruction generates no constraints.
+const NO_RECIPE: (u32, u32) = (u32::MAX, u32::MAX);
 
 impl Default for PointsToCache {
     fn default() -> PointsToCache {
@@ -165,8 +167,9 @@ impl PointsToCache {
     pub fn with_capacity(capacity: usize) -> PointsToCache {
         PointsToCache {
             fingerprint: None,
-            recipes: HashMap::new(),
-            prepared: HashSet::new(),
+            recipes: Vec::new(),
+            recipe_ops: Vec::new(),
+            prepared: Vec::new(),
             solutions: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
@@ -187,68 +190,77 @@ impl PointsToCache {
     pub fn clear(&mut self) {
         self.fingerprint = None;
         self.recipes.clear();
+        self.recipe_ops.clear();
         self.prepared.clear();
         self.solutions.clear();
     }
 
     fn rebind(&mut self, module: &Module) {
-        let fp = ModuleFingerprint::of(module);
-        if self.fingerprint.as_ref() != Some(&fp) {
+        let fp = module.fingerprint();
+        if self.fingerprint != Some(fp) {
             if self.fingerprint.is_some() {
                 self.stats.flushes += 1;
             }
             self.clear();
             self.fingerprint = Some(fp);
+            self.recipes.resize(module.pc_slot_count(), NO_RECIPE);
+            self.prepared.resize(module.functions().len(), false);
         }
     }
 
-    /// Memoizes the constraint recipes of `fid` (no-op once prepared).
-    fn prepare_func(&mut self, module: &Module, fid: FuncId) {
-        if !self.prepared.insert(fid) {
-            return;
-        }
-        for inst in module.func(fid).insts() {
-            if let Some(ops) = inst_constraint_ops(module, fid, inst) {
-                self.recipes.insert(inst.pc, ops);
-            }
-        }
-    }
-
+    /// Memoizes the constraint recipes of every function a PC of `pcs`
+    /// lies in (each function once).
     fn prepare_pcs(&mut self, module: &Module, pcs: &[Pc]) {
-        for pc in pcs {
-            if let Some(loc) = module.loc_of_pc(*pc) {
-                self.prepare_func(module, loc.func);
+        for &pc in pcs {
+            let Some(loc) = module.loc_of_pc(pc) else {
+                continue;
+            };
+            let done = &mut self.prepared[loc.func.0 as usize];
+            if std::mem::replace(done, true) {
+                continue;
+            }
+            for inst in module.func(loc.func).insts() {
+                let start = self.recipe_ops.len();
+                if inst_constraint_ops(module, loc.func, inst, &mut self.recipe_ops) {
+                    let slot = module.pc_slot(inst.pc).expect("an instruction PC");
+                    self.recipes[slot] = (start as u32, self.recipe_ops.len() as u32);
+                }
             }
         }
     }
 
     /// Applies the memoized recipes of `pcs` (sorted by caller) to the
     /// solver; returns how many instructions were analyzed.
-    fn replay(&self, solver: &mut Solver<'_>, pcs: &[Pc]) -> usize {
+    fn replay(&self, module: &Module, solver: &mut Solver<'_>, pcs: &[Pc]) -> usize {
         let mut analyzed = 0;
-        for pc in pcs {
-            if let Some(ops) = self.recipes.get(pc) {
-                analyzed += 1;
-                solver.note_analyzed(1);
-                for op in ops {
-                    solver.apply_op(op);
-                }
+        for &pc in pcs {
+            let Some(slot) = module.pc_slot(pc) else {
+                continue;
+            };
+            let (start, end) = self.recipes[slot];
+            if (start, end) == NO_RECIPE {
+                continue;
+            }
+            analyzed += 1;
+            solver.note_analyzed(1);
+            for op in &self.recipe_ops[start as usize..end as usize] {
+                solver.apply_op(op);
             }
         }
         analyzed
     }
 
-    /// Index of the largest cached scope that is a subset of `scope`
-    /// (`Err` slot = exact match).
-    fn best_base(&self, scope: &HashSet<Pc>) -> Option<(usize, bool)> {
+    /// Index of the cached scope equal to `scope`, else of the largest
+    /// cached scope that is a subset of it (`true` = exact match).
+    fn best_base(&self, scope: &[Pc]) -> Option<(usize, bool)> {
         let mut best: Option<(usize, usize)> = None;
         for (i, sol) in self.solutions.iter().enumerate() {
-            if sol.scope.len() == scope.len() && sol.scope == *scope {
+            if sol.scope == scope {
                 return Some((i, true));
             }
             if sol.scope.len() < scope.len()
                 && best.is_none_or(|(_, n)| sol.scope.len() > n)
-                && sol.scope.iter().all(|pc| scope.contains(pc))
+                && is_sorted_subset(&sol.scope, scope)
             {
                 best = Some((i, sol.scope.len()));
             }
@@ -256,21 +268,33 @@ impl PointsToCache {
         best.map(|(i, _)| (i, false))
     }
 
-    fn store(&mut self, scope: HashSet<Pc>, analyzed: usize, state: SolverState) {
+    fn store(&mut self, scope: &[Pc], analyzed: usize, state: SolverState) -> PointsTo {
+        let result = state.points_to();
         self.solutions.push_back(CachedSolution {
-            scope,
+            scope: scope.to_vec(),
             analyzed,
             state,
+            result: result.clone(),
         });
         while self.solutions.len() > self.capacity {
             self.solutions.pop_front();
             self.stats.evictions += 1;
         }
+        result
     }
 
     /// Scope-restricted points-to analysis through the cache. Returns
     /// sets byte-identical to `PointsTo::analyze_scoped(module, scope)`.
     pub fn analyze_scoped(&mut self, module: &Module, scope: &HashSet<Pc>) -> PointsTo {
+        let mut pcs: Vec<Pc> = scope.iter().copied().collect();
+        pcs.sort_unstable();
+        self.analyze_sorted_scope(module, &pcs)
+    }
+
+    /// [`PointsToCache::analyze_scoped`] over a scope already listed in
+    /// ascending PC order, without a set to build.
+    pub fn analyze_sorted_scope(&mut self, module: &Module, scope: &[Pc]) -> PointsTo {
+        debug_assert!(scope.windows(2).all(|w| w[0] < w[1]), "scope not ascending");
         let _span = lazy_obs::span!("pointsto.cache.solve");
         self.rebind(module);
         self.stats.lookups += 1;
@@ -283,7 +307,7 @@ impl PointsToCache {
                 // Refresh recency: an exact hit is the entry most worth
                 // keeping.
                 let sol = self.solutions.remove(i).expect("index from best_base");
-                let result = sol.state.clone().into_points_to();
+                let result = sol.result.clone();
                 self.solutions.push_back(sol);
                 result
             }
@@ -292,39 +316,26 @@ impl PointsToCache {
                 lazy_obs::counter!("pointsto.cache.delta_solves_total", 1u64);
                 let _delta_span = lazy_obs::span!("pointsto.cache.delta");
                 let base = &self.solutions[i];
-                let mut delta: Vec<Pc> = scope
-                    .iter()
-                    .filter(|pc| !base.scope.contains(pc))
-                    .copied()
-                    .collect();
-                delta.sort_unstable();
+                let delta = sorted_difference(scope, &base.scope);
                 self.stats.reused_insts += base.analyzed as u64;
                 self.stats.delta_insts += delta.len() as u64;
                 let base_state = base.state.clone();
                 let base_analyzed = base.analyzed;
                 self.prepare_pcs(module, &delta);
                 let mut solver = Solver::from_state(module, base_state);
-                let analyzed = self.replay(&mut solver, &delta);
+                let analyzed = self.replay(module, &mut solver, &delta);
                 solver.solve();
-                let state = solver.into_state();
-                let result = state.clone().into_points_to();
-                self.store(scope.clone(), base_analyzed + analyzed, state);
-                result
+                self.store(scope, base_analyzed + analyzed, solver.into_state())
             }
             None => {
                 self.stats.scratch_solves += 1;
                 lazy_obs::counter!("pointsto.cache.scratch_solves_total", 1u64);
                 let _scratch_span = lazy_obs::span!("pointsto.cache.scratch");
-                let mut pcs: Vec<Pc> = scope.iter().copied().collect();
-                pcs.sort_unstable();
-                self.prepare_pcs(module, &pcs);
-                let mut solver = Solver::new(module);
-                let analyzed = self.replay(&mut solver, &pcs);
+                self.prepare_pcs(module, scope);
+                let mut solver = Solver::new(module, scope.len());
+                let analyzed = self.replay(module, &mut solver, scope);
                 solver.solve();
-                let state = solver.into_state();
-                let result = state.clone().into_points_to();
-                self.store(scope.clone(), analyzed, state);
-                result
+                self.store(scope, analyzed, solver.into_state())
             }
         }
     }

@@ -28,9 +28,12 @@
 pub mod andersen;
 pub mod callgraph;
 pub mod dataflow;
+mod fasthash;
 pub mod incremental;
 pub mod loc;
 pub mod ranking;
+#[cfg(test)]
+mod reference;
 pub mod slice;
 pub mod steensgaard;
 
@@ -38,7 +41,7 @@ pub use andersen::{AnalysisStats, PointsTo};
 pub use callgraph::CallGraph;
 pub use dataflow::{effective_failing_access, effective_failing_accesses};
 pub use incremental::{CacheStats, PointsToCache};
-pub use loc::{Loc, PtsSet};
+pub use loc::{Loc, PtsSet, PtsView};
 pub use ranking::{operand_pointee_type, rank_candidates, RankedInst};
 pub use slice::backward_slice;
 pub use steensgaard::SteensgaardPointsTo;

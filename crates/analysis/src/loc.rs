@@ -93,6 +93,59 @@ pub fn sets_intersect(a: &PtsSet, b: &PtsSet) -> bool {
     a.iter().any(|l| b.contains(l))
 }
 
+/// Returns `true` if two ascending location slices share a location:
+/// one merge walk, no allocation.
+pub fn slices_intersect(a: &[Loc], b: &[Loc]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// A points-to set borrowed from a solved
+/// [`PointsTo`](crate::PointsTo), for alias queries that should not
+/// build a [`PtsSet`] per question.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PtsView<'a> {
+    /// A register's solved set, ascending.
+    Solved(&'a [Loc]),
+    /// The one location a global or function operand names.
+    Named(Loc),
+}
+
+impl PtsView<'_> {
+    /// The view of the empty set.
+    pub const EMPTY: PtsView<'static> = PtsView::Solved(&[]);
+
+    /// The set's locations, ascending.
+    pub fn locs(&self) -> &[Loc] {
+        match self {
+            PtsView::Solved(locs) => locs,
+            PtsView::Named(loc) => std::slice::from_ref(loc),
+        }
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.locs().is_empty()
+    }
+
+    /// Whether the two sets share a location (may-alias).
+    pub fn intersects(&self, other: &PtsView<'_>) -> bool {
+        slices_intersect(self.locs(), other.locs())
+    }
+
+    /// The set as an owned [`PtsSet`].
+    pub fn to_set(&self) -> PtsSet {
+        self.locs().iter().copied().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +176,38 @@ mod tests {
         assert!(sets_intersect(&a, &b));
         assert!(!sets_intersect(&a, &c));
         assert!(!sets_intersect(&b, &c));
+    }
+
+    /// The merge walk agrees with the set intersection, views included.
+    #[test]
+    fn slice_intersection_matches_sets() {
+        let locs = [
+            Loc::Site(Pc(4)),
+            Loc::SiteField(Pc(4), 1),
+            Loc::Global(GlobalId(0)),
+            Loc::Func(FuncId(2)),
+        ];
+        for mask_a in 0u32..16 {
+            for mask_b in 0u32..16 {
+                let pick = |m: u32| -> PtsSet {
+                    (0..4)
+                        .filter(|i| m >> i & 1 == 1)
+                        .map(|i| locs[i])
+                        .collect()
+                };
+                let (a, b) = (pick(mask_a), pick(mask_b));
+                let (va, vb): (Vec<Loc>, Vec<Loc>) =
+                    (a.iter().copied().collect(), b.iter().copied().collect());
+                assert_eq!(slices_intersect(&va, &vb), sets_intersect(&a, &b));
+                assert_eq!(
+                    PtsView::Solved(&va).intersects(&PtsView::Solved(&vb)),
+                    sets_intersect(&a, &b)
+                );
+            }
+        }
+        let g = PtsView::Named(Loc::Global(GlobalId(0)));
+        assert!(g.intersects(&PtsView::Solved(&locs)));
+        assert!(!g.intersects(&PtsView::EMPTY));
+        assert_eq!(g.to_set().len(), 1);
     }
 }

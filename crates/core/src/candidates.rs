@@ -12,8 +12,7 @@
 //! feeding the assert — the same move RETracer makes from a corrupt
 //! value (§2.2 of the paper discusses this lineage).
 
-use lazy_analysis::loc::sets_intersect;
-use lazy_analysis::{rank_candidates, PointsTo, PtsSet, RankedInst};
+use lazy_analysis::{rank_candidates, PointsTo, PtsSet, PtsView, RankedInst};
 use lazy_ir::{InstKind, Module, Pc};
 use std::collections::HashSet;
 
@@ -68,7 +67,8 @@ pub fn select_candidates(
 
 /// [`select_candidates`] over the executed instructions as a list, in
 /// any order: the server passes its ascending executed list, with no
-/// set to build.
+/// set to build. Aliasing is tested on borrowed points-to views, so an
+/// executed instruction costs no allocation.
 pub(crate) fn select_candidates_in(
     module: &Module,
     pts: &PointsTo,
@@ -77,9 +77,9 @@ pub(crate) fn select_candidates_in(
     deadlock: bool,
 ) -> CandidateSet {
     let failing_pc = effective_failing_access(module, raw_failing_pc);
-    let failing_pts = pts
-        .pts_of_pointer_at(module, failing_pc)
-        .unwrap_or_default();
+    let failing = pts
+        .pts_view_of_pointer_at(module, failing_pc)
+        .unwrap_or(PtsView::EMPTY);
 
     let mut pointer_insts_executed = 0usize;
     let mut chosen: Vec<Pc> = Vec::new();
@@ -106,8 +106,7 @@ pub(crate) fn select_candidates_in(
                 let Some(loc) = module.loc_of_pc(pc) else {
                     continue;
                 };
-                let p = pts.pts_of_operand(loc.func, op);
-                sets_intersect(&p, &failing_pts)
+                pts.pts_view_of_operand(loc.func, op).intersects(&failing)
             }
         };
         if keep {
@@ -120,7 +119,7 @@ pub(crate) fn select_candidates_in(
     let ranked = rank_candidates(module, failing_pc, &chosen);
     CandidateSet {
         failing_pc,
-        failing_pts,
+        failing_pts: failing.to_set(),
         ranked,
         pointer_insts_executed,
     }

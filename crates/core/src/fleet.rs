@@ -242,7 +242,7 @@ impl<'m> FleetShard<'m> {
     /// [`DiagnosisError::Fleet`] naming both fingerprints on a mismatch.
     pub(crate) fn check_module(&self, module_fp: u64) -> Result<(), DiagnosisError> {
         let module = self.server.module();
-        let served = module_fingerprint(module);
+        let served = module.fingerprint();
         if module_fp == served {
             return Ok(());
         }
@@ -536,7 +536,7 @@ fn next_session() -> u64 {
 pub struct BugKey {
     /// PC of the failing instruction.
     pub failure_pc: Pc,
-    /// [`module_fingerprint`] of the module the failure was observed
+    /// [`Module::fingerprint`] of the module the failure was observed
     /// in.
     pub module_fp: u64,
 }
@@ -546,31 +546,9 @@ impl BugKey {
     pub fn of(module: &Module, failure: &Failure) -> BugKey {
         BugKey {
             failure_pc: failure.pc,
-            module_fp: module_fingerprint(module),
+            module_fp: module.fingerprint(),
         }
     }
-}
-
-/// FNV-1a over the module's identity-bearing shape: name, function
-/// count, instruction count, and PC layout extent. Cheap enough to
-/// compute per report, stable across runs of the same build, and any
-/// rebuild that moves code changes it — which is exactly when cached
-/// analysis state must not be conflated across binaries.
-pub fn module_fingerprint(module: &Module) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(module.name.as_bytes());
-    eat(&(module.functions().len() as u64).to_le_bytes());
-    eat(&(module.inst_count() as u64).to_le_bytes());
-    eat(&module.max_pc().0.to_le_bytes());
-    h
 }
 
 /// One endpoint's failure report, as submitted to the router.
@@ -1170,7 +1148,8 @@ fn decode_pcs(c: &mut Cursor<'_>) -> Result<Vec<Pc>, FrameError> {
 }
 
 /// Encodes a [`FrameKind::FleetCollect`] payload: the session, the
-/// router's [`module_fingerprint`], then the report.
+/// router's module fingerprint ([`Module::fingerprint`]), then the
+/// report.
 pub fn encode_fleet_collect(
     session: u64,
     module_fp: u64,

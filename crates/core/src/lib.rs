@@ -67,8 +67,7 @@ pub use client::{CollectionClient, CollectionOutcome};
 pub use daemon::{serve, DaemonConfig, DaemonStats, FrameError, FrameKind};
 pub use error::DiagnosisError;
 pub use fleet::{
-    module_fingerprint, BugKey, FleetOutcome, FleetReport, FleetRouter, FleetShard, ShardConn,
-    ShardReport, ShardStats,
+    BugKey, FleetOutcome, FleetReport, FleetRouter, FleetShard, ShardConn, ShardReport, ShardStats,
 };
 pub use multivar::multivar_patterns;
 pub use patterns::{AtomKind, BugPattern, DeadlockEdge, PatternEvent};

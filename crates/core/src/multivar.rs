@@ -23,8 +23,7 @@
 use crate::candidates::CandidateSet;
 use crate::patterns::{access_kind, AccessKind, BugPattern, PatternEvent};
 use crate::processing::ProcessedTrace;
-use lazy_analysis::loc::sets_intersect;
-use lazy_analysis::{effective_failing_accesses, PointsTo};
+use lazy_analysis::{effective_failing_accesses, PointsTo, PtsView};
 use lazy_ir::{InstKind, Module, Pc};
 use std::collections::HashSet;
 
@@ -66,12 +65,12 @@ pub(crate) fn multivar_patterns_in(
         for j in (i + 1)..feeds.len() {
             let (a, b) = (feeds[i], feeds[j]);
             let (Some(pa), Some(pb)) = (
-                pts.pts_of_pointer_at(module, a),
-                pts.pts_of_pointer_at(module, b),
+                pts.pts_view_of_pointer_at(module, a),
+                pts.pts_view_of_pointer_at(module, b),
             ) else {
                 continue;
             };
-            if !pa.is_empty() && !pb.is_empty() && !sets_intersect(&pa, &pb) {
+            if !pa.is_empty() && !pb.is_empty() && !pa.intersects(&pb) {
                 pair = Some((a, b));
                 break 'outer;
             }
@@ -80,8 +79,11 @@ pub(crate) fn multivar_patterns_in(
     let Some((ra_pc, rb_pc)) = pair else {
         return Vec::new();
     };
-    let pts_a = pts.pts_of_pointer_at(module, ra_pc).unwrap_or_default();
-    let pts_b = pts.pts_of_pointer_at(module, rb_pc).unwrap_or_default();
+    let view = |pc| {
+        pts.pts_view_of_pointer_at(module, pc)
+            .unwrap_or(PtsView::EMPTY)
+    };
+    let (pts_a, pts_b) = (view(ra_pc), view(rb_pc));
 
     // The reader pair's last instances in the failing thread.
     let Some(ra) = trace.last_instance_in_thread(ra_pc, trace.trigger_tid) else {
@@ -97,7 +99,7 @@ pub(crate) fn multivar_patterns_in(
 
     // Remote update candidates per variable: executed writes aliasing
     // each location.
-    let writes_to = |target: &lazy_analysis::PtsSet| -> Vec<Pc> {
+    let writes_to = |target: &PtsView<'_>| -> Vec<Pc> {
         executed
             .iter()
             .filter(|pc| {
@@ -113,7 +115,7 @@ pub(crate) fn multivar_patterns_in(
                 let Some(op) = inst.kind.pointer_operand() else {
                     return false;
                 };
-                sets_intersect(&pts.pts_of_operand(loc.func, op), target)
+                pts.pts_view_of_operand(loc.func, op).intersects(target)
             })
             .copied()
             .collect()

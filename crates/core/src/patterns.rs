@@ -22,10 +22,8 @@
 
 use crate::candidates::CandidateSet;
 use crate::processing::{DynInstance, ProcessedTrace};
-use lazy_analysis::loc::sets_intersect;
-use lazy_analysis::{PointsTo, PtsSet};
+use lazy_analysis::{PointsTo, PtsView};
 use lazy_ir::{InstKind, Module, Pc};
-use std::collections::HashMap;
 
 /// The access kind of a pattern event, as rendered in reports
 /// (`R`/`W`/`L` for lock).
@@ -233,33 +231,66 @@ impl BugPattern {
     }
 }
 
+/// One candidate's alias information in a [`PatternContext`].
+struct CandInfo<'a> {
+    pc: Pc,
+    kind: Option<AccessKind>,
+    /// The points-to set of its pointer operand, borrowed from the
+    /// solved analysis.
+    pts: PtsView<'a>,
+}
+
 /// Per-candidate alias information used during generation and presence
-/// checking.
+/// checking: each candidate's access kind and borrowed points-to set,
+/// so an alias question costs a lookup and a merge walk, no allocation.
 pub struct PatternContext<'a> {
     module: &'a Module,
-    /// pts of each candidate's pointer operand.
-    cand_pts: HashMap<Pc, PtsSet>,
+    /// The candidates with a pointer operand, ascending by PC.
+    cands: Vec<CandInfo<'a>>,
 }
 
 impl<'a> PatternContext<'a> {
     /// Builds the context for a candidate set.
-    pub fn new(module: &'a Module, pts: &PointsTo, cands: &CandidateSet) -> PatternContext<'a> {
-        let mut cand_pts = HashMap::new();
-        for r in &cands.ranked {
-            if let Some(p) = pts.pts_of_pointer_at(module, r.pc) {
-                cand_pts.insert(r.pc, p);
-            }
+    pub fn new(module: &'a Module, pts: &'a PointsTo, cands: &CandidateSet) -> PatternContext<'a> {
+        let mut infos: Vec<CandInfo<'a>> = cands
+            .ranked
+            .iter()
+            .filter_map(|r| {
+                Some(CandInfo {
+                    pc: r.pc,
+                    kind: access_kind(&module.inst(r.pc)?.kind),
+                    pts: pts.pts_view_of_pointer_at(module, r.pc)?,
+                })
+            })
+            .collect();
+        infos.sort_unstable_by_key(|c| c.pc);
+        infos.dedup_by_key(|c| c.pc);
+        PatternContext {
+            module,
+            cands: infos,
         }
-        PatternContext { module, cand_pts }
+    }
+
+    fn cand(&self, pc: Pc) -> Option<&CandInfo<'a>> {
+        let i = self.cands.binary_search_by_key(&pc, |c| c.pc).ok()?;
+        Some(&self.cands[i])
     }
 
     fn kind_of(&self, pc: Pc) -> Option<AccessKind> {
-        self.module.inst(pc).and_then(|i| access_kind(&i.kind))
+        match self.cand(pc) {
+            Some(c) => c.kind,
+            None => self.module.inst(pc).and_then(|i| access_kind(&i.kind)),
+        }
+    }
+
+    /// The candidate's points-to set (empty for a non-candidate).
+    fn pts_of(&self, pc: Pc) -> PtsView<'a> {
+        self.cand(pc).map_or(PtsView::EMPTY, |c| c.pts)
     }
 
     fn may_alias(&self, a: Pc, b: Pc) -> bool {
-        match (self.cand_pts.get(&a), self.cand_pts.get(&b)) {
-            (Some(pa), Some(pb)) => sets_intersect(pa, pb),
+        match (self.cand(a), self.cand(b)) {
+            (Some(ca), Some(cb)) => ca.pts.intersects(&cb.pts),
             _ => false,
         }
     }
@@ -287,23 +318,27 @@ pub fn crash_patterns(
 
     let mut out = Vec::new();
     let mut unordered: Vec<PatternEvent> = Vec::new();
+    // The candidates that may alias the failing access, in rank order:
+    // every pair and triple below draws its other events from these.
+    let aliasing: Vec<PatternEvent> = cands
+        .ranked
+        .iter()
+        .filter_map(|r| {
+            let kind = ctx.kind_of(r.pc)?;
+            ctx.may_alias(r.pc, fail_pc)
+                .then_some(PatternEvent { pc: r.pc, kind })
+        })
+        .collect();
 
-    for r in &cands.ranked {
-        let c = r.pc;
+    for &c_ev in &aliasing {
+        let (c, ckind) = (c_ev.pc, c_ev.kind);
         if c == fail_pc {
-            continue;
-        }
-        let Some(ckind) = ctx.kind_of(c) else {
-            continue;
-        };
-        if !ctx.may_alias(c, fail_pc) {
             continue;
         }
         // A race needs a write somewhere in the pair (lock uses count as
         // reads of the object).
         let write_involved =
             matches!(ckind, AccessKind::Write) || matches!(fail_kind, AccessKind::Write);
-        let c_ev = PatternEvent { pc: c, kind: ckind };
 
         // Remote instances: order-violation pairs with the failing
         // access.
@@ -348,21 +383,11 @@ pub fn crash_patterns(
         // (e.g. WRW: a remote reader faults on the intermediate state
         // between a local write pair): candidates `c` then `y` in one
         // remote thread bracketing the failing access.
-        for y_ranked in &cands.ranked {
-            let y_pc = y_ranked.pc;
-            let Some(ykind) = ctx.kind_of(y_pc) else {
+        for &y_ev in &aliasing {
+            let Some(shape) = AtomKind::from_kinds(ckind, fail_kind, y_ev.kind) else {
                 continue;
             };
-            if !ctx.may_alias(y_pc, fail_pc) {
-                continue;
-            }
-            let Some(shape) = AtomKind::from_kinds(ckind, fail_kind, ykind) else {
-                continue;
-            };
-            let y_ev = PatternEvent {
-                pc: y_pc,
-                kind: ykind,
-            };
+            let y_pc = y_ev.pc;
             for x in trace.instances_of(c) {
                 if x.tid == f_inst.tid {
                     continue;
@@ -385,22 +410,11 @@ pub fn crash_patterns(
 
         // Atomicity triples: a local access `a` before the failure, a
         // remote access `x` in between.
-        for a_pc_ranked in &cands.ranked {
-            let a_pc = a_pc_ranked.pc;
-            let Some(akind) = ctx.kind_of(a_pc) else {
+        for &a_ev in &aliasing {
+            let Some(shape) = AtomKind::from_kinds(a_ev.kind, ckind, fail_kind) else {
                 continue;
             };
-            if !ctx.may_alias(a_pc, fail_pc) {
-                continue;
-            }
-            let Some(shape) = AtomKind::from_kinds(akind, ckind, fail_kind) else {
-                continue;
-            };
-            let a_ev = PatternEvent {
-                pc: a_pc,
-                kind: akind,
-            };
-            for a in trace.instances_of(a_pc) {
+            for a in trace.instances_of(a_ev.pc) {
                 if a.tid != f_inst.tid || a.seq >= f_inst.seq {
                     continue;
                 }
@@ -441,14 +455,13 @@ pub fn deadlock_patterns(
     trace: &ProcessedTrace,
 ) -> Vec<BugPattern> {
     // Reconstruct, per thread, the lock events in order.
-    #[derive(Clone)]
-    struct LockEv {
+    struct LockEv<'p> {
         pc: Pc,
         inst: DynInstance,
         acquire: bool,
-        pts: PtsSet,
+        pts: PtsView<'p>,
     }
-    let mut per_thread: HashMap<u32, Vec<LockEv>> = HashMap::new();
+    let mut events: Vec<LockEv<'_>> = Vec::new();
     for r in &cands.ranked {
         let Some(inst) = ctx.module.inst(r.pc) else {
             continue;
@@ -458,16 +471,15 @@ pub fn deadlock_patterns(
         if !acquire && !release {
             continue;
         }
-        let pts = ctx.cand_pts.get(&r.pc).cloned().unwrap_or_default();
-        for i in trace.instances_of(r.pc) {
-            per_thread.entry(i.tid).or_default().push(LockEv {
-                pc: r.pc,
-                inst: *i,
-                acquire,
-                pts: pts.clone(),
-            });
-        }
+        let pts = ctx.pts_of(r.pc);
+        events.extend(trace.instances_of(r.pc).iter().map(|i| LockEv {
+            pc: r.pc,
+            inst: *i,
+            acquire,
+            pts,
+        }));
     }
+    events.sort_by_key(|e| (e.inst.tid, e.inst.seq));
     // Per thread: scan in program order, tracking held locks; each
     // acquire while holding yields a hold→want edge. The edge's *want
     // window* — when the thread was waiting at the acquisition — runs
@@ -475,36 +487,36 @@ pub fn deadlock_patterns(
     // ran again was blocked there until the snapshot). Coexisting want
     // windows across the cycle are what distinguish an actual deadlock
     // from the same lock-order edges executing at different times.
-    struct Edge {
+    struct Edge<'p> {
         hold_pc: Pc,
         want_pc: Pc,
-        hold_pts: PtsSet,
-        want_pts: PtsSet,
+        hold_pts: PtsView<'p>,
+        want_pts: PtsView<'p>,
         want_lo: u64,
         want_hi: u64,
         tid: u32,
     }
-    let mut edges: Vec<Edge> = Vec::new();
-    for (tid, mut evs) in per_thread {
-        evs.sort_by_key(|e| e.inst.seq);
-        let mut held: Vec<LockEv> = Vec::new();
+    let mut edges: Vec<Edge<'_>> = Vec::new();
+    let mut held: Vec<&LockEv<'_>> = Vec::new();
+    for evs in events.chunk_by(|a, b| a.inst.tid == b.inst.tid) {
+        held.clear();
         for e in evs {
             if e.acquire {
                 for h in &held {
                     edges.push(Edge {
                         hold_pc: h.pc,
                         want_pc: e.pc,
-                        hold_pts: h.pts.clone(),
-                        want_pts: e.pts.clone(),
+                        hold_pts: h.pts,
+                        want_pts: e.pts,
                         want_lo: e.inst.time.lo,
                         want_hi: e.inst.resume,
-                        tid,
+                        tid: e.inst.tid,
                     });
                 }
                 held.push(e);
             } else {
                 // Release: drop the most recent held lock aliasing it.
-                if let Some(i) = held.iter().rposition(|h| sets_intersect(&h.pts, &e.pts)) {
+                if let Some(i) = held.iter().rposition(|h| h.pts.intersects(&e.pts)) {
                     held.remove(i);
                 }
             }
@@ -515,8 +527,8 @@ pub fn deadlock_patterns(
     // limited to deadlocks with two threads" (§3.1): length-2 and
     // length-3 cycles are generated here.
     let overlap = |a: &Edge, b: &Edge| a.want_lo <= b.want_hi && b.want_lo <= a.want_hi;
-    let feeds = |a: &Edge, b: &Edge| sets_intersect(&a.want_pts, &b.hold_pts);
-    let sane = |a: &Edge| !sets_intersect(&a.hold_pts, &a.want_pts);
+    let feeds = |a: &Edge, b: &Edge| a.want_pts.intersects(&b.hold_pts);
+    let sane = |a: &Edge| !a.hold_pts.intersects(&a.want_pts);
     let mut out = Vec::new();
     for i in 0..edges.len() {
         for j in (i + 1)..edges.len() {

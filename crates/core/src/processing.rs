@@ -306,7 +306,7 @@ impl<'i> Aggregator<'i> {
         let mut total = 0;
         for (slot, n) in cursor.iter_mut().enumerate() {
             if *n != usize::MAX {
-                executed.push(self.index.slot_pc(slot));
+                executed.push(Module::slot_pc(slot));
                 let count = *n;
                 *n = total;
                 total += count;

@@ -172,9 +172,9 @@ impl RemoteClient {
 
     /// Fleet round 1: opens shard session `session` on this daemon with
     /// the routed trace partition; returns the shard's executed set.
-    /// `module_fp` is the router's
-    /// [`module_fingerprint`](crate::fleet::module_fingerprint), which
-    /// the shard checks before it decodes anything.
+    /// `module_fp` is the router's module fingerprint
+    /// ([`lazy_ir::Module::fingerprint`]), which the shard checks before
+    /// it decodes anything.
     ///
     /// # Errors
     ///

@@ -18,7 +18,7 @@ use lazy_analysis::{CacheStats, PointsTo, PointsToCache};
 use lazy_ir::{Cfg, Module, Pc};
 use lazy_trace::{fan_out, ExecIndex, SnapshotView, TraceConfig, TraceSnapshot, WalkTable};
 use lazy_vm::{Failure, FailureKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -451,14 +451,17 @@ impl<'m> DiagnosisServer<'m> {
     /// It is built on a bitmap over the module's dense PC slots, so a
     /// PC costs one bit per trace and one insert into the result, never
     /// a hash per trace. The traces come from [`process_snapshot_view`]
-    /// against this server's index, which places every executed PC.
+    /// against this server's module, which places every executed PC.
+    /// The union is step 4's scope, timed as `pointsto.scope`.
     pub(crate) fn executed_union<'t, C: FromIterator<Pc>>(
         &self,
         traces: impl IntoIterator<Item = &'t Arc<ProcessedTrace>>,
     ) -> C {
-        let mut bits = vec![0u64; self.index.slot_count().div_ceil(64)];
+        let _span = lazy_obs::span!("pointsto.scope");
+        let module = self.module;
+        let mut bits = vec![0u64; module.pc_slot_count().div_ceil(64)];
         for t in traces {
-            for slot in t.executed.iter().filter_map(|&pc| self.index.slot(pc)) {
+            for slot in t.executed.iter().filter_map(|&pc| module.pc_slot(pc)) {
                 bits[slot / 64] |= 1 << (slot % 64);
             }
         }
@@ -467,7 +470,7 @@ impl<'m> DiagnosisServer<'m> {
         for (w, &word) in bits.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
-                pcs.push(self.index.slot_pc(w * 64 + rest.trailing_zeros() as usize));
+                pcs.push(Module::slot_pc(w * 64 + rest.trailing_zeros() as usize));
                 rest &= rest - 1;
             }
         }
@@ -484,13 +487,12 @@ impl<'m> DiagnosisServer<'m> {
     /// panicked solve left half-written, so it is never solved from.
     /// The solve falls back to scratch and the fallback is counted.
     ///
-    /// `executed` is ascending ([`DiagnosisServer::executed_union`]);
-    /// only the cache, which keys its solutions by set, gets a set.
+    /// `executed` is ascending ([`DiagnosisServer::executed_union`]),
+    /// and the cache keys its solutions by the same ascending list.
     fn points_to(&self, executed: &[Pc], cache: Option<&SharedCache>) -> PointsTo {
         if let Some(shared) = cache {
-            let scope: HashSet<Pc> = executed.iter().copied().collect();
             match shared.cache.lock() {
-                Ok(mut cache) => return cache.analyze_scoped(self.module, &scope),
+                Ok(mut cache) => return cache.analyze_sorted_scope(self.module, executed),
                 Err(_) => {
                     shared.poison_fallbacks.fetch_add(1, Ordering::Relaxed);
                     lazy_obs::counter!("pointsto.cache.poison_fallbacks_total", 1u64);
@@ -548,6 +550,10 @@ impl<'m> DiagnosisServer<'m> {
         }
         patterns.sort();
         patterns.dedup();
+        // The points-to result is step 4–6's working state: free it
+        // inside the stage that last reads it.
+        drop(ctx);
+        drop(pts);
         patterns_span.end();
         lazy_obs::counter!("patterns.generated_total", patterns.len());
         PatternSet {

@@ -5,7 +5,9 @@
 //! program-counter layout is the "stripped binary" the client-side tracer
 //! and VM execute. The [`Module::inst`] / [`Module::loc_of_pc`] maps are
 //! the debug information that lets the server map a failing PC from a
-//! production trace back to an IR instruction.
+//! production trace back to an IR instruction. The map is a dense table
+//! indexed by [`Module::pc_slot`], so resolving a PC costs an index,
+//! never a hash.
 
 use crate::inst::{Inst, InstKind, ValueId};
 use crate::types::Type;
@@ -156,19 +158,42 @@ pub struct InstLoc {
     pub idx: usize,
 }
 
+/// One entry of the dense PC table: where the instruction at a slot
+/// sits. Alignment gaps between functions hold [`PcEntry::GAP`].
+#[derive(Clone, Copy, Debug)]
+struct PcEntry {
+    func: u32,
+    block: u32,
+    idx: u32,
+}
+
+impl PcEntry {
+    const GAP: PcEntry = PcEntry {
+        func: u32::MAX,
+        block: 0,
+        idx: 0,
+    };
+}
+
 /// A complete program: struct definitions, globals, and functions, with a
 /// finalized PC layout.
 #[derive(Clone, Debug)]
 pub struct Module {
     /// Module name (the "binary" name; workloads use the modelled
-    /// system's name, e.g. `"mysql"`).
+    /// system's name, e.g. `"mysql"`). Part of [`Module::fingerprint`],
+    /// so renaming a module changes its identity.
     pub name: String,
     structs: HashMap<String, StructDef>,
     globals: Vec<Global>,
     functions: Vec<Function>,
     func_by_name: HashMap<String, FuncId>,
-    pc_map: HashMap<Pc, InstLoc>,
+    /// The debug-info map, indexed by [`Module::pc_slot`].
+    pc_map: Vec<PcEntry>,
+    /// Per function, the first of its registers in the dense register
+    /// numbering ([`Module::reg_slot`]); one extra entry holds the total.
+    reg_base: Vec<u32>,
     max_pc: Pc,
+    inst_count: usize,
 }
 
 impl Module {
@@ -189,27 +214,32 @@ impl Module {
         globals: Vec<Global>,
         mut functions: Vec<Function>,
     ) -> Module {
-        let mut pc_map = HashMap::new();
+        let mut pc_map = Vec::new();
+        let mut reg_base = Vec::with_capacity(functions.len() + 1);
+        let mut regs = 0u32;
         let mut next = Self::TEXT_BASE;
         for func in &mut functions {
             next = next.div_ceil(Self::FUNC_ALIGN) * Self::FUNC_ALIGN;
             func.base_pc = Pc(next);
+            let first = Self::stride_slot(Pc(next)).expect("function bases lie on the stride");
+            pc_map.resize(first, PcEntry::GAP);
+            reg_base.push(regs);
+            regs += func.reg_count;
             for block in &mut func.blocks {
                 for (idx, inst) in block.insts.iter_mut().enumerate() {
                     inst.pc = Pc(next);
-                    pc_map.insert(
-                        Pc(next),
-                        InstLoc {
-                            func: func.id,
-                            block: block.id,
-                            idx,
-                        },
-                    );
+                    pc_map.push(PcEntry {
+                        func: func.id.0,
+                        block: block.id.0,
+                        idx: idx as u32,
+                    });
                     next += Self::PC_STRIDE;
                 }
             }
         }
+        reg_base.push(regs);
         let func_by_name = functions.iter().map(|f| (f.name.clone(), f.id)).collect();
+        let inst_count = pc_map.iter().filter(|e| e.func != u32::MAX).count();
         Module {
             name,
             structs,
@@ -217,8 +247,33 @@ impl Module {
             functions,
             func_by_name,
             pc_map,
+            reg_base,
             max_pc: Pc(next),
+            inst_count,
         }
+    }
+
+    /// The module's identity: FNV-1a over its name, function count,
+    /// instruction count and PC layout extent. The counts are fixed at
+    /// assembly; the name is read on every call, so it costs a pass over
+    /// a short name. Stable across runs of the same build, and any
+    /// rebuild that moves code changes it, which is exactly when cached
+    /// analysis state must not be carried across binaries.
+    pub fn fingerprint(&self) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = OFFSET;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(PRIME);
+            }
+        };
+        eat(self.name.as_bytes());
+        eat(&(self.functions.len() as u64).to_le_bytes());
+        eat(&(self.inst_count as u64).to_le_bytes());
+        eat(&self.max_pc.0.to_le_bytes());
+        h
     }
 
     /// All functions in the module.
@@ -274,15 +329,78 @@ impl Module {
         ty.slot_count(&resolver)
     }
 
+    /// The slot `(pc - TEXT_BASE) / PC_STRIDE` of a PC on the text
+    /// layout's stride, or `None` below `TEXT_BASE` or off the stride.
+    /// This is the one place the layout is turned into dense indices:
+    /// every per-PC table, here and in the decoder, is indexed by it.
+    /// It does not check that the slot holds an instruction of any
+    /// module; [`Module::pc_slot`] does.
+    #[inline]
+    pub fn stride_slot(pc: Pc) -> Option<usize> {
+        let off = pc.0.checked_sub(Self::TEXT_BASE)?;
+        if !off.is_multiple_of(Self::PC_STRIDE) {
+            return None;
+        }
+        usize::try_from(off / Self::PC_STRIDE).ok()
+    }
+
+    /// The PC at slot `slot`: the inverse of [`Module::stride_slot`].
+    #[inline]
+    pub fn slot_pc(slot: usize) -> Pc {
+        Pc(Self::TEXT_BASE + slot as u64 * Self::PC_STRIDE)
+    }
+
+    /// The dense slot of an instruction PC ([`Module::stride_slot`]), or
+    /// `None` when `pc` lies below `TEXT_BASE`, off the stride, in an
+    /// alignment gap between functions, or at or past
+    /// [`Module::max_pc`]. Distinct instructions get distinct slots below
+    /// [`Module::pc_slot_count`].
+    #[inline]
+    pub fn pc_slot(&self, pc: Pc) -> Option<usize> {
+        let slot = Self::stride_slot(pc)?;
+        (self.pc_map.get(slot)?.func != u32::MAX).then_some(slot)
+    }
+
+    /// One past the largest [`Module::pc_slot`]: the number of stride
+    /// slots from `TEXT_BASE` up to [`Module::max_pc`].
+    pub fn pc_slot_count(&self) -> usize {
+        self.pc_map.len()
+    }
+
+    /// The dense number of register `value` of function `func`: the
+    /// function's registers follow those of every function before it,
+    /// `reg_count` each. `None` when `func` is not in the module or
+    /// `value` is not below its `reg_count`.
+    #[inline]
+    pub fn reg_slot(&self, func: FuncId, value: ValueId) -> Option<usize> {
+        let f = func.0 as usize;
+        let (base, end) = (*self.reg_base.get(f)?, *self.reg_base.get(f + 1)?);
+        let slot = base.checked_add(value.0).filter(|&s| s < end)?;
+        Some(slot as usize)
+    }
+
+    /// One past the largest [`Module::reg_slot`]: the module's register
+    /// count.
+    pub fn reg_slot_count(&self) -> usize {
+        self.reg_base.last().map_or(0, |&n| n as usize)
+    }
+
     /// Resolves a PC to its instruction location (the debug-info map).
+    #[inline]
     pub fn loc_of_pc(&self, pc: Pc) -> Option<InstLoc> {
-        self.pc_map.get(&pc).copied()
+        let e = self.pc_map[self.pc_slot(pc)?];
+        Some(InstLoc {
+            func: FuncId(e.func),
+            block: BlockId(e.block),
+            idx: e.idx as usize,
+        })
     }
 
     /// Resolves a PC directly to the instruction.
+    #[inline]
     pub fn inst(&self, pc: Pc) -> Option<&Inst> {
-        let loc = self.loc_of_pc(pc)?;
-        Some(&self.functions[loc.func.0 as usize].blocks[loc.block.0 as usize].insts[loc.idx])
+        let e = self.pc_map[self.pc_slot(pc)?];
+        Some(&self.functions[e.func as usize].blocks[e.block as usize].insts[e.idx as usize])
     }
 
     /// Returns the function containing `pc`, if any.
@@ -297,7 +415,7 @@ impl Module {
 
     /// Total instruction count across all functions.
     pub fn inst_count(&self) -> usize {
-        self.functions.iter().map(Function::inst_count).sum()
+        self.inst_count
     }
 
     /// Iterates over `(pc, inst, loc)` for every instruction in layout
@@ -387,6 +505,87 @@ mod tests {
             assert_eq!(m.inst(inst.pc).unwrap().pc, inst.pc);
         }
         assert!(m.loc_of_pc(Pc(1)).is_none());
+    }
+
+    /// The dense PC table answers exactly the instruction PCs: below
+    /// `TEXT_BASE`, off the stride, in the alignment gap between two
+    /// functions and at `max_pc` it answers `None`, and every slot it
+    /// hands out is distinct and in range.
+    #[test]
+    fn dense_pc_table_places_only_instruction_pcs() {
+        let mut mb = ModuleBuilder::new("two");
+        let callee = mb.declare("callee", vec![], Type::Void);
+        {
+            let mut f = mb.define(callee);
+            let e = f.entry();
+            f.switch_to(e);
+            f.ret(None);
+            f.finish();
+        }
+        let mut f = mb.function("main", vec![], Type::Void);
+        let e = f.entry();
+        f.switch_to(e);
+        f.alloca(Type::I64);
+        f.halt();
+        f.finish();
+        let m = mb.finish().unwrap();
+        let (first, second) = (&m.functions()[0], &m.functions()[1]);
+        let first_end = first.base_pc.0 + first.inst_count() as u64 * Module::PC_STRIDE;
+        assert!(first_end < second.base_pc.0, "an alignment gap exists");
+
+        let mut slots = std::collections::HashSet::new();
+        for (inst, loc) in m.all_insts() {
+            let slot = m.pc_slot(inst.pc).expect("instruction PCs are placed");
+            assert!(slot < m.pc_slot_count());
+            assert!(slots.insert(slot), "slots are distinct");
+            assert_eq!(Module::slot_pc(slot), inst.pc, "slot_pc inverts the slot");
+            assert_eq!(m.loc_of_pc(inst.pc), Some(loc));
+        }
+        let unplaced = [
+            Pc(0),
+            Pc(Module::TEXT_BASE - Module::PC_STRIDE),
+            Pc(Module::TEXT_BASE + 1),
+            Pc(second.base_pc.0 + 2),
+            Pc(first_end),
+            Pc(second.base_pc.0 - Module::PC_STRIDE),
+            m.max_pc(),
+            Pc(m.max_pc().0 + Module::PC_STRIDE),
+            Pc(u64::MAX),
+        ];
+        for pc in unplaced {
+            assert_eq!(m.pc_slot(pc), None, "{pc} is not an instruction");
+            if pc.0 % Module::PC_STRIDE != 0 || pc.0 < Module::TEXT_BASE {
+                assert_eq!(Module::stride_slot(pc), None, "{pc} is off the stride");
+            }
+            assert_eq!(m.loc_of_pc(pc), None, "{pc}");
+            assert!(m.inst(pc).is_none(), "{pc}");
+        }
+    }
+
+    /// The fingerprint follows the name: a module renamed after
+    /// assembly gets a new identity, and the same shape under the same
+    /// name hashes the same.
+    #[test]
+    fn fingerprint_reads_the_current_name() {
+        let mut m = tiny_module();
+        let fp = m.fingerprint();
+        assert_eq!(tiny_module().fingerprint(), fp);
+        m.name.push_str("-v2");
+        assert_ne!(m.fingerprint(), fp);
+    }
+
+    /// Registers number densely, function after function, and only
+    /// registers below a function's `reg_count` get a number.
+    #[test]
+    fn registers_number_densely_per_function() {
+        let m = tiny_module();
+        let main = &m.functions()[0];
+        assert_eq!(m.reg_slot_count(), main.reg_count as usize);
+        for v in 0..main.reg_count {
+            assert_eq!(m.reg_slot(main.id, ValueId(v)), Some(v as usize));
+        }
+        assert_eq!(m.reg_slot(main.id, ValueId(main.reg_count)), None);
+        assert_eq!(m.reg_slot(FuncId(7), ValueId(0)), None);
     }
 
     #[test]

@@ -161,7 +161,8 @@ enum Transfer {
 /// A precomputed walk table for a module: PC → outgoing transfer.
 ///
 /// Build once per module, reuse across every decode. The table is a
-/// **dense** `Vec` indexed by `(pc - TEXT_BASE) / PC_STRIDE` — the walk
+/// **dense** `Vec` indexed by the module's PC slot
+/// ([`Module::stride_slot`], `(pc - TEXT_BASE) / PC_STRIDE`) — the walk
 /// probes it once per decoded instruction, and a bounds-checked array
 /// load beats a `HashMap` probe by an order of magnitude on that path.
 /// Function-alignment gaps hold [`Transfer::Unmapped`]. Beside each
@@ -169,7 +170,6 @@ enum Transfer {
 /// operand ([`ExecIndex::has_pointer_operand`]).
 #[derive(Clone, Debug)]
 pub struct ExecIndex {
-    base: u64,
     steps: Vec<Transfer>,
     /// Per slot: the instruction has a pointer operand
     /// ([`InstKind::pointer_operand`]).
@@ -179,8 +179,7 @@ pub struct ExecIndex {
 impl ExecIndex {
     /// Builds the walk table for `module`.
     pub fn build(module: &Module) -> ExecIndex {
-        let base = Module::TEXT_BASE;
-        let slots = (module.max_pc().0.saturating_sub(base) / Module::PC_STRIDE) as usize;
+        let slots = module.pc_slot_count();
         let mut steps = vec![Transfer::Unmapped; slots];
         let mut pointer = vec![false; slots];
         for func in module.functions() {
@@ -216,46 +215,30 @@ impl ExecIndex {
                         InstKind::Halt => Transfer::Halt,
                         _ => Transfer::Linear,
                     };
-                    let slot = (inst.pc.0.saturating_sub(base) / Module::PC_STRIDE) as usize;
-                    if let (Some(s), Some(p)) = (steps.get_mut(slot), pointer.get_mut(slot)) {
-                        *s = t;
-                        *p = inst.kind.pointer_operand().is_some();
+                    if let Some(slot) = module.pc_slot(inst.pc) {
+                        steps[slot] = t;
+                        pointer[slot] = inst.kind.pointer_operand().is_some();
                     }
                 }
             }
         }
-        ExecIndex {
-            base,
-            steps,
-            pointer,
-        }
+        ExecIndex { steps, pointer }
     }
 
-    /// Number of dense PC slots: one per `PC_STRIDE` step from
-    /// `TEXT_BASE` up to the module's last instruction. Every PC the
-    /// decoder emits has a slot below this bound.
+    /// Number of dense PC slots, the module's
+    /// [`Module::pc_slot_count`]. Every PC the decoder emits has a slot
+    /// below this bound.
     pub fn slot_count(&self) -> usize {
         self.steps.len()
     }
 
-    /// The dense slot `(pc - TEXT_BASE) / PC_STRIDE` of `pc`, or `None`
-    /// when `pc` is below `TEXT_BASE`, off the stride, or past the
-    /// module's last instruction. Distinct placeable PCs get distinct
-    /// slots, and [`ExecIndex::slot_pc`] inverts the mapping.
+    /// The module's dense slot of `pc` ([`Module::stride_slot`]), or
+    /// `None` when `pc` is below `TEXT_BASE`, off the stride, or past
+    /// the module's last instruction. Distinct placeable PCs get
+    /// distinct slots, and [`Module::slot_pc`] inverts the mapping.
     #[inline]
     pub fn slot(&self, pc: Pc) -> Option<usize> {
-        let off = pc.0.wrapping_sub(self.base);
-        if pc.0 < self.base || !off.is_multiple_of(Module::PC_STRIDE) {
-            return None;
-        }
-        let slot = usize::try_from(off / Module::PC_STRIDE).ok()?;
-        (slot < self.steps.len()).then_some(slot)
-    }
-
-    /// The PC at dense slot `slot` (the inverse of [`ExecIndex::slot`]).
-    #[inline]
-    pub fn slot_pc(&self, slot: usize) -> Pc {
-        Pc(self.base + slot as u64 * Module::PC_STRIDE)
+        Module::stride_slot(pc).filter(|&slot| slot < self.steps.len())
     }
 
     /// Whether the instruction at dense slot `slot` has a pointer
@@ -268,11 +251,7 @@ impl ExecIndex {
 
     #[inline]
     fn get(&self, pc: u64) -> Option<Transfer> {
-        let off = pc.wrapping_sub(self.base);
-        if pc < self.base || !off.is_multiple_of(Module::PC_STRIDE) {
-            return None;
-        }
-        match self.steps.get((off / Module::PC_STRIDE) as usize) {
+        match self.steps.get(Module::stride_slot(Pc(pc))?) {
             None | Some(Transfer::Unmapped) => None,
             Some(t) => Some(*t),
         }
@@ -467,8 +446,8 @@ struct Chain {
 /// differential tests, `tests/proptests.rs`, and the full-corpus suite.
 #[derive(Clone, Debug)]
 pub struct WalkTable {
-    base: u64,
-    /// Slot (same geometry as [`ExecIndex`]) → run id + 1; 0 = unmapped.
+    /// Module PC slot ([`Module::stride_slot`]) → run id + 1; 0 =
+    /// unmapped.
     slot_run: Vec<u32>,
     runs: Vec<Run>,
     /// Per-run flattened jump chains (parallel to `runs`; only
@@ -489,9 +468,7 @@ impl WalkTable {
     /// instruction (the module builder's layout guarantee).
     pub fn build(module: &Module) -> WalkTable {
         lazy_obs::counter!("decode.walk_table.build", 1u64);
-        let base = Module::TEXT_BASE;
-        let slots = (module.max_pc().0.saturating_sub(base) / Module::PC_STRIDE) as usize;
-        let mut slot_run = vec![0u32; slots];
+        let mut slot_run = vec![0u32; module.pc_slot_count()];
         let mut runs: Vec<Run> = Vec::new();
         for func in module.functions() {
             // NO_ENTRY mirrors ExecIndex::build: a branch into an empty
@@ -559,9 +536,8 @@ impl WalkTable {
                     };
                     let id = runs.len() as u32;
                     let mut claim = |pc: u64| {
-                        let slot = (pc.saturating_sub(base) / Module::PC_STRIDE) as usize;
-                        if let Some(s) = slot_run.get_mut(slot) {
-                            *s = id + 1;
+                        if let Some(slot) = module.pc_slot(Pc(pc)) {
+                            slot_run[slot] = id + 1;
                         }
                     };
                     for k in 0..u64::from(body) {
@@ -588,11 +564,7 @@ impl WalkTable {
         // thread-exit sentinel) ends the chain and the walk loop
         // re-probes from there, so flattening never changes semantics.
         let run_at = |pc: u64| -> Option<(Run, u32)> {
-            let off = pc.wrapping_sub(base);
-            if pc < base || !off.is_multiple_of(Module::PC_STRIDE) {
-                return None;
-            }
-            let id = *slot_run.get((off / Module::PC_STRIDE) as usize)?;
+            let id = *slot_run.get(Module::stride_slot(Pc(pc))?)?;
             let run = *runs.get(id.checked_sub(1)? as usize)?;
             Some((run, ((pc - run.start_pc) / Module::PC_STRIDE) as u32))
         };
@@ -660,7 +632,6 @@ impl WalkTable {
         let profitable =
             !runs.is_empty() && bodies as f64 / runs.len() as f64 >= PROFITABLE_MEAN_BODY;
         WalkTable {
-            base,
             slot_run,
             runs,
             chains,
@@ -685,11 +656,7 @@ impl WalkTable {
     /// run's id (the index into `chains`).
     #[inline]
     fn run_of(&self, pc: u64) -> Option<(Run, u32, u32)> {
-        let off = pc.wrapping_sub(self.base);
-        if pc < self.base || !off.is_multiple_of(Module::PC_STRIDE) {
-            return None;
-        }
-        let id = *self.slot_run.get((off / Module::PC_STRIDE) as usize)?;
+        let id = *self.slot_run.get(Module::stride_slot(Pc(pc))?)?;
         if id == 0 {
             return None;
         }
@@ -2192,7 +2159,12 @@ mod tests {
             for inst in f.insts() {
                 let slot = index.slot(inst.pc).expect("every instruction has a slot");
                 assert!(slot < index.slot_count());
-                assert_eq!(index.slot_pc(slot), inst.pc);
+                assert_eq!(
+                    Some(slot),
+                    module.pc_slot(inst.pc),
+                    "the module's numbering"
+                );
+                assert_eq!(Module::slot_pc(slot), inst.pc);
                 assert_eq!(
                     index.has_pointer_operand(slot),
                     inst.kind.pointer_operand().is_some(),
@@ -2209,6 +2181,7 @@ mod tests {
         assert_eq!(index.slot(module.max_pc()), None);
         assert_eq!(index.slot(Pc(u64::MAX - 3)), None);
         assert!(!index.has_pointer_operand(index.slot_count()));
+        assert_eq!(index.slot_count(), module.pc_slot_count());
     }
 
     /// Asserts all three decoders agree exactly on `bytes`.

@@ -9,8 +9,11 @@
 #                          streaming-law proptests, the snapshot
 #                          aggregation differential and retention rule,
 #                          the fan-out helper's contract and idle-core
-#                          budget, the telemetry site aggregates and the
-#                          payload-decoder fuzzers
+#                          budget, the telemetry site aggregates, the
+#                          payload-decoder fuzzers, the points-to solver
+#                          vs its reference and its unit tests, the
+#                          dense PC table and module identity, and the
+#                          step 4–5 allocation pins
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +37,14 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-obs --lib site::tests
   echo "==> fast lane: payload-decoder fuzzing (arbitrary, cut, flipped, forged-count payloads)"
   cargo test --release -q -p lazy-snorlax --test payload_fuzz
+  echo "==> fast lane: points-to solver vs the pre-rewrite reference (every operand's set and every counter; whole-program, scoped, cache scratch/delta/exact-hit; borrowed views = owned sets)"
+  cargo test --release -q -p lazy-analysis --lib reference::tests
+  echo "==> fast lane: points-to solver units (the per-thread variable table is lent and given back unset; small sets track a BTreeSet)"
+  cargo test --release -q -p lazy-analysis --lib andersen::tests
+  echo "==> fast lane: dense PC table and module identity (below TEXT_BASE, misaligned, alignment gaps and max_pc resolve to nothing; dense register numbers; the fingerprint follows the current name)"
+  cargo test --release -q -p lazy-ir --lib module::tests
+  echo "==> fast lane: allocation pins (mysql-3596 scoped solve <= 200, candidate selection <= 20 allocations)"
+  cargo test --release -q --test alloc_pin
   echo "CI OK (fast lane)"
   exit 0
 fi
