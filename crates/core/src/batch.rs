@@ -5,29 +5,36 @@
 //! same failure (plus their success corpora) in bursts. This module
 //! adds a batch front end to [`DiagnosisServer`] that
 //!
-//! 1. fans the per-job pipeline — snapshot decode + trace processing,
-//!    scoped points-to, pattern computation and scoring — across
-//!    worker threads with [`lazy_trace::fan_out`] (the calling thread
-//!    is one of them; the VM stays single-threaded, only the server
-//!    parallelizes), and
-//! 2. shares one [`PointsToCache`] across all jobs, so snapshots with
+//! 1. decodes each distinct snapshot the jobs read once (steps 2–3):
+//!    jobs scored against the same breakpoints carry the same success
+//!    corpus, so the batch first groups its snapshot references by a
+//!    structural key confirmed by full equality, then decodes the
+//!    distinct ones on one [`lazy_trace::fan_out`] and `Arc`-shares
+//!    each trace with every job that reads it;
+//! 2. fans the per-job steps 4–7 — scoped points-to, pattern
+//!    computation and scoring — across worker threads (the calling
+//!    thread is one of them; the VM stays single-threaded, only the
+//!    server parallelizes), and
+//! 3. shares one [`PointsToCache`] across all jobs, so snapshots with
 //!    identical executed sets hit a solved fixpoint outright and
 //!    superset scopes are solved by replaying only their delta.
 //!
-//! **Determinism**: results come back indexed by job, each job's
-//! pipeline is self-contained, and cached points-to returns the same
-//! unique least fixpoint a from-scratch solve produces — so a batch
-//! diagnosis renders byte-identical to running [`DiagnosisServer::
-//! diagnose`] sequentially on each job (the corpus regression test in
+//! **Determinism**: results come back indexed by job, decoding is a
+//! pure function of a snapshot's bytes, each job's steps 4–7 are
+//! self-contained, and cached points-to returns the same unique least
+//! fixpoint a from-scratch solve produces — so a batch diagnosis
+//! renders byte-identical to running [`DiagnosisServer::diagnose`]
+//! sequentially on each job (the corpus regression test in
 //! `tests/batch.rs` asserts exactly this). Only the timing fields of
 //! [`PipelineStats`](crate::PipelineStats) differ.
 
 use crate::error::DiagnosisError;
-use crate::server::{DiagnosisServer, SharedCache, SnapshotMemo};
+use crate::server::{DiagnosisServer, Processed, SharedCache, StageTimes};
 use crate::Diagnosis;
 use lazy_analysis::{CacheStats, PointsToCache};
 use lazy_trace::{fan_out, resolve_workers, SnapshotView, TraceSnapshot};
 use lazy_vm::Failure;
+use std::ops::Range;
 use std::time::Instant;
 
 /// One diagnosis request: a failure with its collected snapshots.
@@ -59,9 +66,11 @@ pub struct BatchJobView<'a> {
 /// Batch execution knobs.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Worker threads; `0` means one per idle core
-    /// (`lazy_trace::resolve_workers`), so a batch served by a busy
-    /// daemon runs its jobs on the cores nobody else holds.
+    /// Worker threads for the jobs' steps 4–7; `0` means one per idle
+    /// core (`lazy_trace::resolve_workers`), so a batch served by a
+    /// busy daemon runs its jobs on the cores nobody else holds. The
+    /// decode pass runs under the server's own
+    /// [`decode_workers`](crate::ServerConfig::decode_workers).
     pub workers: usize,
     /// Share an incremental points-to cache across jobs. Off, every
     /// job solves its scope from scratch (still in parallel).
@@ -95,9 +104,10 @@ pub struct BatchStats {
     pub wall_micros: u128,
     /// Shared points-to cache counters (zeroes when the cache is off).
     pub cache: CacheStats,
-    /// Snapshots served from the cross-job memo instead of being
-    /// decoded again (identical success-corpus snapshots attached to
-    /// several jobs are processed once and `Arc`-shared).
+    /// Snapshot references the batch did not decode again: the jobs'
+    /// references (failing plus capped successful snapshots) minus the
+    /// distinct snapshots among them. Each distinct snapshot decodes
+    /// once and its trace is `Arc`-shared by every job that reads it.
     pub snapshot_dedup_hits: usize,
     /// Jobs that returned an error (corrupt snapshot, decode failure,
     /// worker panic — any [`DiagnosisError`]). The rest of the batch is
@@ -147,7 +157,7 @@ impl<'m> DiagnosisServer<'m> {
 
     /// [`DiagnosisServer::diagnose_batch`] over [`BatchJobView`]s — the
     /// zero-copy ingest path the daemon feeds from its connection read
-    /// buffers. Semantics (fan-out, shared cache, memo, degradation)
+    /// buffers. Semantics (dedup, fan-out, shared cache, degradation)
     /// are identical to the owned entry point.
     pub fn diagnose_batch_views<'a>(
         &self,
@@ -162,13 +172,44 @@ impl<'m> DiagnosisServer<'m> {
         let cache = cfg
             .use_cache
             .then(|| SharedCache::with_capacity(PointsToCache::DEFAULT_CAPACITY));
-        // Jobs of one batch typically share success corpora; the memo
-        // processes each distinct snapshot once across the whole batch.
-        let memo = SnapshotMemo::new();
-        // A panicking job records a typed error at its own index instead
-        // of unwinding through the fan-out and aborting its siblings.
-        let diagnoses: Vec<Result<Diagnosis, DiagnosisError>> = fan_out(jobs, workers, |job| {
-            self.run_job(job, cache.as_ref(), &memo)
+
+        // Steps 2–3 once per distinct snapshot the jobs read. A job with
+        // no failing snapshot reads nothing: it fails with EmptyReport,
+        // as `diagnose` does, before anything of it decodes.
+        let decode_started = Instant::now();
+        let mut reads: Vec<&SnapshotView<'a>> = Vec::new();
+        let planned: Vec<PlannedJob<'_>> = jobs
+            .iter()
+            .map(|job| PlannedJob {
+                failure: &job.failure,
+                reads: self
+                    .capped_successes(&job.failing, &job.successful)
+                    .map(|successful| {
+                        let start = reads.len();
+                        reads.extend(&job.failing);
+                        let mid = reads.len();
+                        reads.extend(successful);
+                        (start..mid, mid..reads.len())
+                    }),
+            })
+            .collect();
+        let distinct = Distinct::of(&reads);
+        let decoded = self.process_all(&distinct.snapshots);
+        let decode_micros = decode_started.elapsed().as_micros();
+        let snapshot_dedup_hits = reads.len() - distinct.snapshots.len();
+        lazy_obs::counter!("batch.snapshot_dedup_hits_total", snapshot_dedup_hits);
+
+        // Steps 4–7 per job over the shared traces. A panicking job
+        // records a typed error at its own index instead of unwinding
+        // through the fan-out and aborting its siblings.
+        let diagnoses: Vec<Result<Diagnosis, DiagnosisError>> = fan_out(&planned, workers, |job| {
+            self.run_job(
+                job,
+                &distinct.index,
+                &decoded,
+                cache.as_ref(),
+                decode_micros,
+            )
         })
         .into_iter()
         .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("diagnose", p))))
@@ -195,7 +236,7 @@ impl<'m> DiagnosisServer<'m> {
                 workers,
                 wall_micros: started.elapsed().as_micros(),
                 cache: cache_stats,
-                snapshot_dedup_hits: memo.hits(),
+                snapshot_dedup_hits,
                 failed_jobs,
                 panicked_jobs,
                 cache_poison_fallbacks,
@@ -204,22 +245,154 @@ impl<'m> DiagnosisServer<'m> {
         }
     }
 
-    fn run_job<'a>(
+    /// Steps 4–7 of one job over the batch's decoded snapshots, which
+    /// it finds through `index` (a read's distinct snapshot). The job
+    /// fails on its first failing snapshot that did not decode, as
+    /// `diagnose` does, and skips its successes that did not.
+    fn run_job(
         &self,
-        job: &BatchJobView<'a>,
+        job: &PlannedJob<'_>,
+        index: &[usize],
+        decoded: &[Processed],
         cache: Option<&SharedCache>,
-        memo: &SnapshotMemo<'a>,
+        decode_micros: u128,
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("batch.job");
-        // The job's decode fan-outs resolve their own budget: the batch
-        // workers are busy, so they run inline unless a core is idle.
-        self.diagnose_job(
-            &job.failure,
-            &job.failing,
-            &job.successful,
-            Some(memo),
-            cache,
-            self.config().decode_workers,
-        )
+        let (failing, successful) = job.reads.clone()?;
+        let failing = index[failing]
+            .iter()
+            .map(|&i| decoded[i].clone())
+            .collect::<Result<Vec<_>, _>>()?;
+        let successful: Vec<_> = index[successful]
+            .iter()
+            .filter_map(|&i| decoded[i].as_ref().ok().cloned())
+            .collect();
+        let times = StageTimes {
+            started: Instant::now(),
+            decode_micros,
+        };
+        let diagnosis = self.analyze(job.failure, &failing, &successful, cache, times);
+        lazy_obs::histogram!("diagnose.analysis_us", diagnosis.stats.analysis_micros);
+        Ok(diagnosis)
+    }
+}
+
+/// One job of a batch and the snapshots it reads.
+struct PlannedJob<'j> {
+    failure: &'j Failure,
+    /// The job's failing snapshots and its capped successful ones, as
+    /// ranges of the batch's reads; `Err(EmptyReport)` for a job with
+    /// no failing snapshot.
+    reads: Result<(Range<usize>, Range<usize>), DiagnosisError>,
+}
+
+/// A batch's snapshot reads grouped into distinct snapshots.
+struct Distinct<'v, 'a> {
+    /// Each distinct snapshot once.
+    snapshots: Vec<&'v SnapshotView<'a>>,
+    /// For each read, the index of its snapshot in `snapshots`.
+    index: Vec<usize>,
+}
+
+impl<'v, 'a> Distinct<'v, 'a> {
+    fn of(reads: &[&'v SnapshotView<'a>]) -> Distinct<'v, 'a> {
+        let shapes: Vec<Shape> = reads.iter().map(|s| Shape::of(s)).collect();
+        let mut order: Vec<usize> = (0..reads.len()).collect();
+        // The shape settles most comparisons without reading trace
+        // bytes. Where shapes tie, the order over everything equality
+        // compares decides, so equal snapshots end up side by side and
+        // are never aliased by their shape alone, in n log n
+        // comparisons however many snapshots share a shape: a batch
+        // crafted to collide on the key costs no more than any other.
+        order.sort_unstable_by(|&i, &j| {
+            shapes[i]
+                .cmp(&shapes[j])
+                .then_with(|| reads[i].cmp(reads[j]))
+        });
+        let mut snapshots = Vec::new();
+        let mut index = vec![0; reads.len()];
+        for equal in order.chunk_by(|&i, &j| reads[i] == reads[j]) {
+            for &r in equal {
+                index[r] = snapshots.len();
+            }
+            snapshots.push(reads[equal[0]]);
+        }
+        Distinct { snapshots, index }
+    }
+}
+
+/// A snapshot's structural key: what equal snapshots share that costs
+/// no pass over their trace bytes (the trigger, and each thread's id,
+/// wrap flag and byte length).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Shape {
+    taken_at: u64,
+    trigger_tid: u32,
+    trigger_pc: u64,
+    threads: Vec<(u32, bool, usize)>,
+}
+
+impl Shape {
+    fn of(s: &SnapshotView<'_>) -> Shape {
+        Shape {
+            taken_at: s.taken_at,
+            trigger_tid: s.trigger_tid,
+            trigger_pc: s.trigger_pc,
+            threads: s
+                .threads
+                .iter()
+                .map(|t| (t.tid, t.wrapped, t.bytes.len()))
+                .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lazy_trace::{SnapshotTrigger, ThreadTraceView, TraceStats};
+
+    fn view(taken_at: u64, bytes: &[u8], control_events: u64) -> SnapshotView<'_> {
+        SnapshotView {
+            threads: vec![ThreadTraceView {
+                tid: 1,
+                bytes,
+                stats: TraceStats {
+                    control_events,
+                    ..TraceStats::default()
+                },
+                wrapped: false,
+            }],
+            taken_at,
+            trigger_tid: 1,
+            trigger_pc: 0x40,
+            trigger: SnapshotTrigger::Breakpoint,
+        }
+    }
+
+    /// Reads of equal snapshots share one distinct snapshot and reads of
+    /// unequal ones never do, also where their shapes tie: same trigger,
+    /// thread ids, wrap flags and lengths, but other bytes or stats.
+    #[test]
+    fn reads_group_by_full_equality_not_by_shape() {
+        let bytes: Vec<[u8; 4]> = (0..3).map(|b| [0x02, 0x82, 0x02, b]).collect();
+        let views: Vec<SnapshotView<'_>> = [7, 9]
+            .into_iter()
+            .flat_map(|at| {
+                bytes
+                    .iter()
+                    .flat_map(move |b| [view(at, b, 0), view(at, b, 1)])
+            })
+            .collect();
+        // Every snapshot read twice, the second time in reverse order.
+        let reads: Vec<&SnapshotView<'_>> = views.iter().chain(views.iter().rev()).collect();
+        let distinct = Distinct::of(&reads);
+        assert_eq!(distinct.snapshots.len(), views.len());
+        for (a, &i) in reads.iter().zip(&distinct.index) {
+            assert_eq!(distinct.snapshots[i], *a, "a read maps to its own snapshot");
+            for (b, &j) in reads.iter().zip(&distinct.index) {
+                assert_eq!(i == j, a == b);
+            }
+        }
     }
 }

@@ -1016,15 +1016,15 @@ pub fn serve(
     };
     // One diagnosis server shared by every worker: its index and walk
     // table are read-only once built, so workers need no copy of their
-    // own.
+    // own, and the fleet shard and stream hub read the same tables.
     let server = DiagnosisServer::new(module, cfg.server.clone());
     // One fleet-shard state for the whole daemon: a coordinator's
     // three protocol rounds may arrive on any worker, so the session
     // store must outlive any single request.
-    let fleet = FleetShard::new(module, cfg.server.clone());
+    let fleet = FleetShard::with_server(server.share());
     // Likewise one stream hub: a streaming session accumulates reports
     // across connections, so its state must be daemon-wide too.
-    let hub = StreamHub::new(module, cfg.server.clone());
+    let hub = StreamHub::with_server(server.share());
     std::thread::scope(|scope| {
         let shared = &shared;
         let server = &server;

@@ -210,9 +210,16 @@ pub struct FinalizeReply {
 impl<'m> FleetShard<'m> {
     /// Creates a shard for `module`.
     pub fn new(module: &'m Module, cfg: ServerConfig) -> FleetShard<'m> {
+        FleetShard::with_server(DiagnosisServer::new(module, cfg))
+    }
+
+    /// A shard that diagnoses through `server` (a daemon passes a
+    /// [`DiagnosisServer::share`] of its workers' server, so the shard
+    /// builds no decode tables of its own).
+    pub(crate) fn with_server(server: DiagnosisServer<'m>) -> FleetShard<'m> {
         let shard = FleetShard {
-            sessions: SessionTable::new(cfg.session_ttl, &FLEET_SESSIONS_EVICTED),
-            server: DiagnosisServer::new(module, cfg),
+            sessions: SessionTable::new(server.config().session_ttl, &FLEET_SESSIONS_EVICTED),
+            server,
             pts_cache: SharedCache::with_capacity(PointsToCache::DEFAULT_CAPACITY),
         };
         // Compile the walk table now, while the shard is idle: round-1
@@ -304,10 +311,7 @@ impl<'m> FleetShard<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<CollectReply, DiagnosisError> {
         let _span = lazy_obs::span!("fleet.shard.collect");
-        let workers = self.server.config().decode_workers;
-        let (failing_traces, success_traces) = self
-            .server
-            .prepare_traces(failing, successful, None, workers)?;
+        let (failing_traces, success_traces) = self.server.prepare_traces(failing, successful)?;
         let all = || failing_traces.iter().chain(success_traces.iter());
         let reply = CollectReply {
             executed: self.server.executed_union(all()),

@@ -456,9 +456,10 @@ pub fn process_snapshot_view(
     }
     let (executed, offsets, instances) = aggregator.finish();
     aggregate_span.end();
-    // Counted here — once per *distinct* processed snapshot — so batch
-    // memo hits do not inflate the totals (telemetry reconciles with the
-    // per-snapshot `event_count` sums exactly when dedup hits are zero).
+    // Counted here, once per processed snapshot: a batch processes each
+    // distinct snapshot once, so its repeats do not inflate the totals
+    // (telemetry reconciles with the per-job `events_total` sums exactly
+    // when dedup hits are zero).
     lazy_obs::counter!("decode.snapshots_total", 1u64);
     lazy_obs::counter!("decode.events_total", event_count);
     lazy_obs::counter!("process.instances_retained_total", instances.len());

@@ -83,8 +83,8 @@ pub struct PipelineStats {
     /// Patterns with the top F1 (step 7).
     pub top_patterns: usize,
     /// Total decoded events across every trace this diagnosis used
-    /// (failing + retained successful). Batch jobs sharing memoized
-    /// snapshots each count the shared trace's events here, so summing
+    /// (failing + retained successful). Batch jobs sharing a snapshot
+    /// each count the shared trace's events here, so summing
     /// across jobs can exceed the decoder's own per-snapshot totals by
     /// exactly the dedup hits.
     pub events_total: usize,
@@ -236,12 +236,22 @@ impl Diagnosis {
 /// The diagnosis server for one module.
 pub struct DiagnosisServer<'m> {
     module: &'m Module,
+    /// The module's decode tables, shared by every server
+    /// [`DiagnosisServer::share`] makes from this one.
+    tables: Arc<DecodeTables>,
+    cfg: ServerConfig,
+}
+
+/// The read-only tables steps 2–3 decode against, built once per
+/// module: a daemon's workers, its fleet shard and its stream hub all
+/// read one copy.
+struct DecodeTables {
     index: ExecIndex,
     /// Cross-job compiled walk table: built lazily at the first decode
-    /// this server performs, then shared read-only by every subsequent
-    /// job, fan-out worker, and fleet round.
+    /// (or by a fleet shard or stream hub at start-up), then shared
+    /// read-only by every subsequent job, fan-out worker, and fleet
+    /// round.
     walk_table: OnceLock<WalkTable>,
-    cfg: ServerConfig,
 }
 
 impl<'m> DiagnosisServer<'m> {
@@ -250,9 +260,21 @@ impl<'m> DiagnosisServer<'m> {
     pub fn new(module: &'m Module, cfg: ServerConfig) -> DiagnosisServer<'m> {
         DiagnosisServer {
             module,
-            index: ExecIndex::build(module),
-            walk_table: OnceLock::new(),
+            tables: Arc::new(DecodeTables {
+                index: ExecIndex::build(module),
+                walk_table: OnceLock::new(),
+            }),
             cfg,
+        }
+    }
+
+    /// Another server for the same module and configuration that reads
+    /// this server's decode tables instead of building its own.
+    pub(crate) fn share(&self) -> DiagnosisServer<'m> {
+        DiagnosisServer {
+            module: self.module,
+            tables: Arc::clone(&self.tables),
+            cfg: self.cfg.clone(),
         }
     }
 
@@ -271,7 +293,8 @@ impl<'m> DiagnosisServer<'m> {
     /// on first use. Fleet shards call this at construction to move the
     /// one-time build cost out of round-1 latency.
     pub(crate) fn walk_table(&self) -> &WalkTable {
-        self.walk_table
+        self.tables
+            .walk_table
             .get_or_init(|| WalkTable::build(self.module))
     }
 
@@ -283,7 +306,7 @@ impl<'m> DiagnosisServer<'m> {
     pub fn process(&self, snapshot: &TraceSnapshot) -> Result<ProcessedTrace, DiagnosisError> {
         process_snapshot_view(
             self.module,
-            &self.index,
+            &self.tables.index,
             Some(self.walk_table()),
             &self.cfg.trace,
             &snapshot.view(),
@@ -315,8 +338,9 @@ impl<'m> DiagnosisServer<'m> {
     ///
     /// # Errors
     ///
-    /// Fails if no failing snapshot decodes, or with
-    /// [`DiagnosisError::EmptyReport`] when `failing` is empty.
+    /// Fails with the error of the first failing snapshot that does not
+    /// decode, or with [`DiagnosisError::EmptyReport`] when `failing` is
+    /// empty. Successful snapshots that do not decode are skipped.
     pub fn diagnose(
         &self,
         failure: &Failure,
@@ -344,51 +368,39 @@ impl<'m> DiagnosisServer<'m> {
         successful: &[SnapshotView<'_>],
     ) -> Result<Diagnosis, DiagnosisError> {
         let _span = lazy_obs::span!("diagnose.job");
-        let workers = self.cfg.decode_workers;
-        self.diagnose_job(failure, failing, successful, None, None, workers)
-    }
-
-    /// Steps 2–7 for one report with an explicit decode-worker budget,
-    /// an optional cross-job snapshot memo and an optional shared
-    /// points-to cache — the body of both [`DiagnosisServer::diagnose`]
-    /// and every batch job. Batch jobs for the same failure typically
-    /// attach the same success corpus, so the memo processes each of
-    /// its snapshots once and shares it by `Arc`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no failing snapshot decodes (success-side decode
-    /// failures are skipped, mirroring a production server that cannot
-    /// hold up a diagnosis for one corrupt success trace), or with
-    /// [`DiagnosisError::EmptyReport`] when `failing` is empty.
-    pub(crate) fn diagnose_job<'a>(
-        &self,
-        failure: &Failure,
-        failing: &[SnapshotView<'a>],
-        successful: &[SnapshotView<'a>],
-        memo: Option<&SnapshotMemo<'a>>,
-        cache: Option<&SharedCache>,
-        workers: usize,
-    ) -> Result<Diagnosis, DiagnosisError> {
-        if failing.is_empty() {
-            return Err(DiagnosisError::EmptyReport);
-        }
+        let successful = self.capped_successes(failing, successful)?;
         let started = Instant::now();
-        let success_cap = self.cfg.success_factor * failing.len();
-        let successful = &successful[..successful.len().min(success_cap)];
-        let (failing_traces, success_traces) =
-            self.prepare_traces(failing, successful, memo, workers)?;
+        let (failing_traces, success_traces) = self.prepare_traces(failing, successful)?;
         let times = StageTimes {
-            started,
             decode_micros: started.elapsed().as_micros(),
+            started: Instant::now(),
         };
-        let diagnosis = self.analyze(failure, &failing_traces, &success_traces, cache, times);
+        let diagnosis = self.analyze(failure, &failing_traces, &success_traces, None, times);
         lazy_obs::histogram!("diagnose.analysis_us", diagnosis.stats.analysis_micros);
         Ok(diagnosis)
     }
 
+    /// The successful snapshots a report uses: the first
+    /// `success_factor` per failing snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`DiagnosisError::EmptyReport`] when `failing` is empty: there is
+    /// nothing to diagnose, so nothing of the report is decoded.
+    pub(crate) fn capped_successes<'s, T>(
+        &self,
+        failing: &[T],
+        successful: &'s [T],
+    ) -> Result<&'s [T], DiagnosisError> {
+        if failing.is_empty() {
+            return Err(DiagnosisError::EmptyReport);
+        }
+        let cap = self.cfg.success_factor * failing.len();
+        Ok(&successful[..successful.len().min(cap)])
+    }
+
     /// Steps 2–3 over snapshots the caller has already capped: a
-    /// report (`diagnose_job`), one fleet shard's partition, or one
+    /// report (`diagnose`), one fleet shard's partition, or one
     /// streamed report. The fleet coordinator applies the global
     /// success cap *before* routing (a per-shard cap would depend on
     /// the shard count and break byte-identity with single-node), a
@@ -397,53 +409,53 @@ impl<'m> DiagnosisServer<'m> {
     /// failing reports than shards — so neither the cap nor the
     /// `EmptyReport` check applies here.
     ///
-    /// Snapshots are processed concurrently under the worker budget
-    /// (`0`: the idle cores), and each snapshot's threads decode
-    /// concurrently too
-    /// ([`process_snapshot_view`]), resolving their own budget once the
-    /// snapshot helpers count as busy; aggregation order is fixed, so
-    /// the result is bit-identical to sequential processing.
-    pub(crate) fn prepare_traces<'a>(
+    /// # Errors
+    ///
+    /// The first failing snapshot's decode failure. Success-side decode
+    /// failures are skipped, mirroring a production server that cannot
+    /// hold up a diagnosis for one corrupt success trace.
+    pub(crate) fn prepare_traces(
         &self,
-        failing: &[SnapshotView<'a>],
-        successful: &[SnapshotView<'a>],
-        memo: Option<&SnapshotMemo<'a>>,
-        workers: usize,
+        failing: &[SnapshotView<'_>],
+        successful: &[SnapshotView<'_>],
     ) -> Result<Prepared, DiagnosisError> {
-        let snapshots: Vec<&SnapshotView<'a>> = failing.iter().chain(successful.iter()).collect();
+        let snapshots: Vec<&SnapshotView<'_>> = failing.iter().chain(successful).collect();
+        let mut results = self.process_all(&snapshots).into_iter();
+        let failing_traces = results
+            .by_ref()
+            .take(failing.len())
+            .collect::<Result<Vec<_>, _>>()?;
+        let success_traces: Vec<Arc<ProcessedTrace>> = results.filter_map(Result::ok).collect();
+        Ok((failing_traces, success_traces))
+    }
+
+    /// Steps 2–3 for each of `snapshots`, index-aligned. Snapshots are
+    /// processed concurrently under the server's decode budget (`0`:
+    /// the idle cores), and each snapshot's threads decode
+    /// concurrently too ([`process_snapshot_view`]), resolving their
+    /// own budget once the snapshot helpers count as busy; aggregation
+    /// order is fixed, so every result is bit-identical to sequential
+    /// processing. A panicking snapshot is a
+    /// [`DiagnosisError::WorkerPanic`] at its own index only.
+    pub(crate) fn process_all(&self, snapshots: &[&SnapshotView<'_>]) -> Vec<Processed> {
+        let workers = self.cfg.decode_workers;
         // Build the walk table before fanning out: get_or_init inside
         // the workers would serialize their first decodes on it.
         let table = Some(self.walk_table());
-        let process_one = |s: &SnapshotView<'a>| -> Processed {
-            if let Some(hit) = memo.and_then(|m| m.lookup(s)) {
-                return Ok(hit);
-            }
-            let t = Arc::new(process_snapshot_view(
+        fan_out(snapshots, workers, |s| {
+            process_snapshot_view(
                 self.module,
-                &self.index,
+                &self.tables.index,
                 table,
                 &self.cfg.trace,
                 s,
                 workers,
-            )?);
-            if let Some(m) = memo {
-                m.insert(s.clone(), Arc::clone(&t));
-            }
-            Ok(t)
-        };
-        // One panicking snapshot fails that snapshot only.
-        let mut results = fan_out(&snapshots, workers, |s| process_one(s))
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p))));
-        let mut failing_traces = Vec::with_capacity(failing.len());
-        for r in results.by_ref().take(failing.len()) {
-            failing_traces.push(r?);
-        }
-        // Success-side decode failures are skipped, mirroring a
-        // production server that cannot hold up a diagnosis for one
-        // corrupt success trace.
-        let success_traces: Vec<Arc<ProcessedTrace>> = results.filter_map(Result::ok).collect();
-        Ok((failing_traces, success_traces))
+            )
+            .map(Arc::new)
+        })
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| Err(DiagnosisError::from_panic("process", p))))
+        .collect()
     }
 
     /// Step 2's executed set: the union of `traces`' executed
@@ -616,7 +628,7 @@ impl<'m> DiagnosisServer<'m> {
                 top_patterns
             },
             events_total: all_traces().map(|t| t.event_count).sum(),
-            analysis_micros: times.started.elapsed().as_micros(),
+            analysis_micros: times.decode_micros + times.started.elapsed().as_micros(),
             decode_micros: times.decode_micros,
             points_to_micros: found.points_to_micros,
             pattern_micros: steps_started
@@ -722,94 +734,19 @@ pub(crate) fn ordered_events_for(
 
 /// Decoded failing traces and decoded successful traces — the output
 /// of [`DiagnosisServer::prepare_traces`]. Traces are `Arc`-shared so
-/// batch jobs can reuse identical success-corpus snapshots without
-/// reprocessing (or copying) them.
+/// the jobs of a batch can read one decode of a snapshot they share.
 pub(crate) type Prepared = (Vec<Arc<ProcessedTrace>>, Vec<Arc<ProcessedTrace>>);
 
 /// One snapshot's decode+processing outcome, `Arc`-shared for reuse.
-type Processed = Result<Arc<ProcessedTrace>, DiagnosisError>;
-
-/// Memo bucket: the snapshots hashing to one content key, each with its
-/// processed trace. Views are cheap (per-thread they hold a slice, not
-/// the bytes), so the memo stores view clones rather than references.
-type MemoBucket<'a> = Vec<(SnapshotView<'a>, Arc<ProcessedTrace>)>;
-
-/// A cross-job memo of processed snapshots, keyed by snapshot content.
-///
-/// Batch jobs for the same failure PC typically attach the *same*
-/// success corpus; processing each shared snapshot once and handing out
-/// [`Arc`] clones removes the largest redundant cost in a batch. Lookup
-/// hashes the snapshot content (FNV-1a) and confirms with full
-/// equality, so a hash collision can never alias two distinct
-/// snapshots.
-pub(crate) struct SnapshotMemo<'a> {
-    entries: Mutex<HashMap<u64, MemoBucket<'a>>>,
-    hits: AtomicUsize,
-}
-
-impl<'a> SnapshotMemo<'a> {
-    pub(crate) fn new() -> SnapshotMemo<'a> {
-        SnapshotMemo {
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-        }
-    }
-
-    /// Content hash over everything a snapshot's equality sees.
-    fn key(s: &SnapshotView<'_>) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&s.taken_at.to_le_bytes());
-        eat(&s.trigger_tid.to_le_bytes());
-        eat(&s.trigger_pc.to_le_bytes());
-        for t in &s.threads {
-            eat(&t.tid.to_le_bytes());
-            eat(&[u8::from(t.wrapped)]);
-            eat(t.bytes);
-        }
-        h
-    }
-
-    fn lookup(&self, s: &SnapshotView<'_>) -> Option<Arc<ProcessedTrace>> {
-        // A poisoned memo only means some worker panicked mid-insert;
-        // the map itself is never left mid-mutation (inserts are a
-        // single `push`), so recovering the guard is safe.
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let found = entries
-            .get(&Self::key(s))?
-            .iter()
-            .find(|(snap, _)| snap == s)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        lazy_obs::counter!("batch.snapshot_dedup_hits_total", 1u64);
-        Some(Arc::clone(&found.1))
-    }
-
-    fn insert(&self, s: SnapshotView<'a>, t: Arc<ProcessedTrace>) {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(Self::key(&s))
-            .or_default()
-            .push((s, t));
-    }
-
-    /// Snapshots served from the memo instead of being reprocessed.
-    pub(crate) fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
+pub(crate) type Processed = Result<Arc<ProcessedTrace>, DiagnosisError>;
 
 /// Wall-clock bookkeeping threaded from the pipeline's front half into
 /// [`DiagnosisServer::analyze`].
 pub(crate) struct StageTimes {
-    /// When the whole job started (total time measured from here).
+    /// When steps 4–7 started.
     pub(crate) started: Instant,
-    /// Microseconds spent in steps 2–3.
+    /// Microseconds spent in steps 2–3 before that; the diagnosis'
+    /// total is this plus steps 4–7.
     pub(crate) decode_micros: u128,
 }
 

@@ -349,6 +349,10 @@ struct StreamState {
     lead_history: Vec<f64>,
     rule: SequentialRule,
     converged: bool,
+    /// The last rescore's diagnosis. Every change to the scored corpus
+    /// rescores, so this is always the diagnosis of the corpus as it
+    /// stands, and `finish` returns it.
+    last: Option<Diagnosis>,
 }
 
 /// Consecutive scored folds the same top pattern must lead before the
@@ -378,6 +382,7 @@ impl StreamState {
             lead_history: Vec::new(),
             rule: SequentialRule::new(STABILITY_WINDOW, CONFIDENCE),
             converged: false,
+            last: None,
         }
     }
 
@@ -405,16 +410,14 @@ impl StreamState {
         let started = Instant::now();
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
-        let workers = server.config().decode_workers;
-        let (mut failing, _) =
-            match server.prepare_traces(std::slice::from_ref(view), &[], None, workers) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.reports_rejected += 1;
-                    lazy_obs::counter!("stream.rejected_total", 1u64);
-                    return Err(e);
-                }
-            };
+        let (mut failing, _) = match server.prepare_traces(std::slice::from_ref(view), &[]) {
+            Ok(p) => p,
+            Err(e) => {
+                self.reports_rejected += 1;
+                lazy_obs::counter!("stream.rejected_total", 1u64);
+                return Err(e);
+            }
+        };
         if self.failure.is_none() {
             self.failure = Some(failure.clone());
         }
@@ -433,8 +436,7 @@ impl StreamState {
         let started = Instant::now();
         self.reports_consumed += 1;
         lazy_obs::counter!("stream.reports_total", 1u64);
-        let workers = server.config().decode_workers;
-        let retained = match server.prepare_traces(&[], std::slice::from_ref(view), None, workers) {
+        let retained = match server.prepare_traces(&[], std::slice::from_ref(view)) {
             Ok((_, mut successes)) => successes.pop(),
             Err(_) => None,
         };
@@ -488,6 +490,7 @@ impl StreamState {
             self.converged = true;
             lazy_obs::counter!("stream.converged_total", 1u64);
         }
+        self.last = Some(diagnosis);
     }
 
     /// Steps 4–7 over the accumulated corpus, its successes capped as
@@ -512,18 +515,19 @@ impl StreamState {
         &retained[..retained.len().min(cap)]
     }
 
-    /// Renders the final diagnosis over the accumulated (capped)
-    /// corpus — the same steps 4–7 the batch path runs, so the render
-    /// is byte-identical to batch over the consumed reports.
-    fn finish(&self, server: &DiagnosisServer<'_>) -> Result<StreamingOutcome, DiagnosisError> {
-        let diagnosis = self.analyze(server).ok_or(DiagnosisError::EmptyReport)?;
+    /// The final diagnosis over the accumulated (capped) corpus: the
+    /// last rescore's, which ran the same steps 4–7 the batch path
+    /// runs, so the render is byte-identical to batch over the consumed
+    /// reports.
+    fn finish(self) -> Result<StreamingOutcome, DiagnosisError> {
+        let diagnosis = self.last.ok_or(DiagnosisError::EmptyReport)?;
         lazy_obs::histogram!("diagnose.analysis_us", diagnosis.stats.analysis_micros);
         Ok(StreamingOutcome {
             diagnosis,
             reports_consumed: self.reports_consumed,
             reports_rejected: self.reports_rejected,
             converged_early: self.converged,
-            lead_history: self.lead_history.clone(),
+            lead_history: self.lead_history,
         })
     }
 }
@@ -625,7 +629,7 @@ impl<'s, 'm> StreamingDiagnoser<'s, 'm> {
     ///
     /// [`DiagnosisError::EmptyReport`] when no failing report decoded.
     pub fn finish(self) -> Result<StreamingOutcome, DiagnosisError> {
-        self.state.finish(self.server)
+        self.state.finish()
     }
 }
 
@@ -720,9 +724,16 @@ impl<'m> StreamHub<'m> {
     /// Creates a hub for `module`, pre-warming the walk table so the
     /// first submit does not pay the one-time build cost.
     pub fn new(module: &'m Module, cfg: ServerConfig) -> StreamHub<'m> {
+        StreamHub::with_server(DiagnosisServer::new(module, cfg))
+    }
+
+    /// A hub that scores through `server` (a daemon passes a
+    /// [`DiagnosisServer::share`] of its workers' server, so the hub
+    /// builds no decode tables of its own), pre-warming its walk table.
+    pub(crate) fn with_server(server: DiagnosisServer<'m>) -> StreamHub<'m> {
         let hub = StreamHub {
-            sessions: SessionTable::new(cfg.session_ttl, &STREAM_SESSIONS_EVICTED),
-            server: DiagnosisServer::new(module, cfg),
+            sessions: SessionTable::new(server.config().session_ttl, &STREAM_SESSIONS_EVICTED),
+            server,
         };
         let _ = hub.server.walk_table();
         hub
@@ -819,8 +830,8 @@ impl<'m> StreamHub<'m> {
             .sessions
             .remove(session)
             .ok_or_else(|| unknown_session(session))?;
-        let state = state.lock().unwrap_or_else(PoisonError::into_inner);
-        let outcome = state.finish(&self.server)?;
+        let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
+        let outcome = std::mem::replace(&mut *state, StreamState::new()).finish()?;
         let report = outcome.diagnosis.render(self.server.module());
         Ok((outcome, report))
     }

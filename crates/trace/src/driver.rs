@@ -25,7 +25,7 @@ pub struct ThreadTrace {
 }
 
 /// What triggered a snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SnapshotTrigger {
     /// A fail-stop event (crash, deadlock, failed assertion).
     Failure,
@@ -85,7 +85,7 @@ impl TraceSnapshot {
 /// One thread's contribution to a snapshot, borrowing its ring-buffer
 /// bytes from a caller-owned buffer (typically a connection's read
 /// buffer) instead of owning a copy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ThreadTraceView<'a> {
     /// The thread's identifier (assigned by the execution substrate).
     pub tid: u32,
@@ -114,7 +114,7 @@ impl ThreadTraceView<'_> {
 /// Wire decode ([`crate::wire::decode_snapshot_view`]) produces these
 /// directly over a request payload, so per-thread trace bytes are never
 /// copied between the socket read buffer and the decoder.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SnapshotView<'a> {
     /// Per-thread trace buffers (borrowed).
     pub threads: Vec<ThreadTraceView<'a>>,

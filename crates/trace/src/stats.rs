@@ -7,7 +7,7 @@
 //! harness binary).
 
 /// Counters accumulated by an [`Encoder`](crate::encoder::Encoder).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceStats {
     /// Control-flow events recorded (branch outcomes, indirect
     /// transfers).

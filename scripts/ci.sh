@@ -12,8 +12,9 @@
 #                          budget, the telemetry site aggregates, the
 #                          payload-decoder fuzzers, the points-to solver
 #                          vs its reference and its unit tests, the
-#                          dense PC table and module identity, and the
-#                          step 4–5 allocation pins
+#                          dense PC table and module identity, the
+#                          step 4–5 allocation pins, and batch dedup
+#                          under parallelism
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +46,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   cargo test --release -q -p lazy-ir --lib module::tests
   echo "==> fast lane: allocation pins (mysql-3596 scoped solve <= 200, candidate selection <= 20 allocations)"
   cargo test --release -q --test alloc_pin
+  echo "==> fast lane: batch dedup groups reads by full equality, never by their structural key alone"
+  cargo test --release -q -p lazy-snorlax --lib batch::tests
+  echo "==> fast lane: batch dedup under parallelism (20 four-worker runs per batch: one decode per distinct snapshot, dedup hits = references - distinct, every render = sequential diagnose; a same-key mangled success and a corrupt failing job)"
+  cargo test --release -q --test batch_dedup
   echo "CI OK (fast lane)"
   exit 0
 fi

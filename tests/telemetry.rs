@@ -159,8 +159,8 @@ fn telemetry_reconciles_with_pipeline_stats() {
         "folds record no per-diagnosis analysis latency"
     );
 
-    // A single-job batch first: with one job the cross-job memo has
-    // nothing to dedup (sibling collections DO share success-corpus
+    // A single-job batch first: with one job the batch has nothing to
+    // dedup (sibling collections DO share success-corpus
     // snapshots, so a multi-job batch decodes fewer snapshots than its
     // jobs' stats sum — exactly the discrepancy this test must not
     // tolerate unexplained).
@@ -232,14 +232,14 @@ fn telemetry_reconciles_with_pipeline_stats() {
     );
 
     // --- cross-job dedup reconciliation ----------------------------
-    // Both collections batched together: the memo serves the shared
-    // success snapshots, and the dedup counter mirrors BatchStats.
+    // Both collections batched together: the shared success snapshots
+    // decode once, and the dedup counter mirrors BatchStats.
     let both = jobs_of(&collections);
     let two = server.diagnose_batch(&both, &BatchConfig::default());
     assert_eq!(
         two.telemetry.counter("batch.snapshot_dedup_hits_total"),
         two.stats.snapshot_dedup_hits as u64,
-        "memo-hit counter must equal BatchStats::snapshot_dedup_hits"
+        "dedup counter must equal BatchStats::snapshot_dedup_hits"
     );
     assert_eq!(
         two.telemetry.span("batch.job").map(|s| s.count),
